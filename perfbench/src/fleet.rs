@@ -27,7 +27,7 @@ use ftts_metrics::{SloClass, Summary};
 use ftts_search::SearchKind;
 use ftts_workload::{zipf_problems, ArrivalPattern, Dataset, RequestArrival};
 
-use crate::trace::Tracer;
+use crate::trace::{Overhead, Tracer};
 use crate::{median, Report, SetupClock};
 
 const DEVICES: usize = 4;
@@ -194,7 +194,8 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Report, String> {
     };
 
     let start = Instant::now();
-    let mut tracer = Tracer::new(trace);
+    let mut tracer = trace.then(Tracer::default);
+    let mut overhead = Overhead::default();
     // Only the first run is kept whole; every run is checked as it
     // ends and reduced to its fingerprint, so the peak RSS does not grow
     // with the number of runs.
@@ -207,15 +208,26 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Report, String> {
     let mut setup;
     loop {
         setup = fresh()?;
-        let t0 = Instant::now();
-        let run = run_fleet(&setup)?;
-        run_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-        if trace {
+        let run = if let Some(t) = tracer.as_mut() {
+            // The same fleet run traced and untraced, for the overhead.
+            let ((traced, traced_t), (run, run_t)) =
+                overhead.both(prints.len() % 2 == 1, |traced| {
+                    if traced {
+                        t.span("fleet.run", 0, |_| run_fleet(&setup))
+                    } else {
+                        run_fleet(&setup)
+                    }
+                });
+            traced_ms.push(traced_t.as_secs_f64() * 1e3);
+            traced_prints.push(fingerprint(&traced?));
+            run_ms.push(run_t.as_secs_f64() * 1e3);
+            run?
+        } else {
             let t0 = Instant::now();
-            let traced = tracer.span("fleet.run", 0, |_| run_fleet(&setup))?;
-            traced_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-            traced_prints.push(fingerprint(&traced));
-        }
+            let run = run_fleet(&setup)?;
+            run_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+            run
+        };
         unresolved_count += unresolved(&setup, &run);
         leaking_runs += usize::from(run.device_runs.iter().any(|d| d.final_reserved_bytes != 0));
         prints.push(fingerprint(&run));
@@ -275,7 +287,7 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Report, String> {
         first.warm_hits()
     ));
 
-    if trace {
+    if let Some(mut tracer) = tracer {
         report.phase(
             format!("traced fleet runs x{} (requests)", traced_prints.len()),
             (REQUESTS * traced_prints.len()) as u64,
@@ -288,10 +300,7 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Report, String> {
         let fleet_ms = median(&traced_ms);
         layers(&setup, &first, fleet_ms, &mut tracer, &mut report)?;
         report.set("fleet.run_ms", fleet_ms);
-        report.set(
-            "bench.trace_overhead_pct",
-            (median(&traced_ms) / median(&run_ms) - 1.0) * 100.0,
-        );
+        report.set("bench.trace_overhead_pct", overhead.pct());
         report.set("sim_deadline_hit_rate", summary.deadline_hit_rate);
         report.tracer = Some(tracer);
     }

@@ -23,6 +23,8 @@ mod trace;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
+use ftts_serve::Json;
+
 /// Whether a metric is wall-clock of the simulator (`host`) or virtual
 /// time of the modeled edge system (`sim`, deterministic per seed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,6 +55,9 @@ pub const END_TO_END: &[(&str, &str, Kind)] = &[
 
 /// Per-layer metrics, reported by every workload's traced run. A
 /// workload that never reaches a layer reports 0 for it.
+///
+/// Both tables must list the metrics of `BENCHMARK.json`, by name and
+/// unit and in its order; the program refuses to run when they differ.
 pub const PER_LAYER: &[(&str, &str, Kind)] = &[
     ("reply_write_p50_ms", "ms", Kind::Host),
     ("reply_write_p95_ms", "ms", Kind::Host),
@@ -93,9 +98,57 @@ pub const PER_LAYER: &[(&str, &str, Kind)] = &[
     ("serve.runtime.replays", "count", Kind::Host),
     ("serve.runtime.memo_hit_rate", "frac", Kind::Host),
     ("serve.net_overhead_ms", "ms", Kind::Host),
+    ("serve.net.stalled_replies", "count", Kind::Host),
     ("bench.gen_lag_p95_ms", "ms", Kind::Host),
     ("bench.trace_overhead_pct", "%", Kind::Host),
 ];
+
+/// The benchmark's declaration, which the metric tables must match.
+const DECLARED: &str = include_str!("../../BENCHMARK.json");
+
+fn check_declared() -> Result<(), String> {
+    let declared = Json::parse(DECLARED).map_err(|e| format!("BENCHMARK.json: {e}"))?;
+    for (key, table) in [("end_to_end", END_TO_END), ("per_layer", PER_LAYER)] {
+        let Some(Json::Array(items)) = declared.at(key) else {
+            return Err(format!("BENCHMARK.json has no {key} list"));
+        };
+        let listed: Vec<(Option<&str>, Option<&str>)> = items
+            .iter()
+            .map(|m| (m.str_at("name"), m.str_at("unit")))
+            .collect();
+        let ours: Vec<(Option<&str>, Option<&str>)> = table
+            .iter()
+            .map(|&(name, unit, _)| (Some(name), Some(unit)))
+            .collect();
+        if listed != ours {
+            return Err(format!(
+                "the {key} metrics of BENCHMARK.json differ from the program's table"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Metrics a workload set that no table declares, and, for an untraced
+/// run, end-to-end metrics it did not set.
+fn undeclared_or_missing(report: &Report, trace: bool) -> Vec<&'static str> {
+    let declared = |name: &str| END_TO_END.iter().chain(PER_LAYER).any(|m| m.0 == name);
+    let mut wrong: Vec<&'static str> = report
+        .metrics
+        .keys()
+        .copied()
+        .filter(|name| !declared(name))
+        .collect();
+    if !trace {
+        wrong.extend(
+            END_TO_END
+                .iter()
+                .map(|m| m.0)
+                .filter(|name| !report.metrics.contains_key(name)),
+        );
+    }
+    wrong
+}
 
 /// One workload phase's operation accounting.
 #[derive(Debug, Clone)]
@@ -258,6 +311,10 @@ fn main() {
             std::process::exit(2);
         }
     };
+    if let Err(e) = check_declared() {
+        eprintln!("perfbench: {e}");
+        std::process::exit(2);
+    }
     let run = match args.workload.as_str() {
         "paper_interactive" => paper::run,
         "fleet_crash" => fleet::run,
@@ -282,6 +339,15 @@ fn main() {
         }
     }
     report.set_ok_frac();
+    let wrong = undeclared_or_missing(&report, args.trace);
+    if !wrong.is_empty() {
+        eprintln!(
+            "perfbench: {} set undeclared or left out end-to-end metrics: {}",
+            args.workload,
+            wrong.join(", ")
+        );
+        std::process::exit(1);
+    }
 
     let expected = if args.trace { PER_LAYER } else { END_TO_END };
     println!(
@@ -336,7 +402,8 @@ fn main() {
     );
     let mut json_metrics = Vec::new();
     for &(name, unit, kind) in expected {
-        // A layer this workload never reaches reports 0.
+        // A layer this workload never reaches reports 0; every
+        // end-to-end metric is set (checked above).
         let value = report.metrics.get(name).copied().unwrap_or(0.0);
         println!("   {name:<28} {value:>16.6} {unit:<6} {}", kind.label());
         json_metrics.push(format!(

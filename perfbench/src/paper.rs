@@ -16,7 +16,7 @@ use ftts_model::ProblemSpec;
 use ftts_search::{make_driver, SearchKind};
 use ftts_workload::Dataset;
 
-use crate::trace::Tracer;
+use crate::trace::{span_if, Overhead, Tracer};
 use crate::{median, Report, SetupClock};
 
 /// The paper's headline (Fig. 12): geomean 2.2x, range 1.2x–5.4x.
@@ -120,40 +120,51 @@ fn pass(cells: &[Cell]) -> Result<Pass, String> {
     Ok(Pass::new(t0.elapsed().as_secs_f64() * 1e3, serves, out))
 }
 
-/// Drive one request through `begin_request` → `step` → `finish`, with
-/// a span around each call.
+/// Drive one request through `begin_request` → `step` → `finish`.
+/// With a tracer, each call sits in a span inside one `engine.resume`
+/// span for the request.
 fn stepped(
-    t: &mut Tracer,
+    t: Option<&mut Tracer>,
     server: &TtsServer,
     p: &ProblemSpec,
     n: usize,
     req: u64,
 ) -> Result<ServeOutcome, String> {
-    let mut driver = make_driver(SearchKind::BeamSearch, n, BRANCH);
-    let mut run = t
-        .span("engine.begin", req, |_| {
+    let body = |mut t: Option<&mut Tracer>| -> Result<ServeOutcome, String> {
+        let mut driver = make_driver(SearchKind::BeamSearch, n, BRANCH);
+        let mut run = span_if(&mut t, "engine.begin", req, || {
             server.begin_request(p, n, driver.as_mut(), f64::INFINITY, None)
         })
         .map_err(|e| format!("begin_request: {e}"))?;
-    loop {
-        let status = t
-            .span("engine.step", req, |_| run.step(driver.as_mut()))
-            .map_err(|e| format!("step: {e}"))?;
-        if status == StepStatus::Finished {
-            break;
+        loop {
+            let status = span_if(&mut t, "engine.step", req, || run.step(driver.as_mut()))
+                .map_err(|e| format!("step: {e}"))?;
+            if status == StepStatus::Finished {
+                break;
+            }
         }
+        let stats = span_if(&mut t, "engine.finish", req, || run.finish());
+        let answer = ftts_metrics::top1_majority(&stats.answers());
+        Ok(ServeOutcome { stats, answer })
+    };
+    match t {
+        Some(t) => t.span("engine.resume", req, |t| body(Some(t))),
+        None => body(None),
     }
-    let stats = t.span("engine.finish", req, |_| run.finish());
-    let answer = ftts_metrics::top1_majority(&stats.answers());
-    Ok(ServeOutcome { stats, answer })
 }
 
 /// Traced grid pass: spans around each `serve`, then the same request
-/// again through the resumable-run API, which must match bit for bit.
-fn traced_pass(cells: &[Cell], t: &mut Tracer, report: &mut Report) -> Result<Pass, String> {
+/// again through the resumable-run API, traced and untraced, both of
+/// which must match `serve` bit for bit. The two resumable runs give
+/// the tracing overhead.
+fn traced_pass(
+    cells: &[Cell],
+    t: &mut Tracer,
+    overhead: &mut Overhead,
+    report: &mut Report,
+) -> Result<Pass, String> {
     let mut out = Vec::with_capacity(cells.len());
     let mut serves = 0;
-    let mut serve_ms = 0.0;
     let mut mismatched = 0;
     let mut req = 0u64;
     for c in cells {
@@ -162,12 +173,12 @@ fn traced_pass(cells: &[Cell], t: &mut Tracer, report: &mut Report) -> Result<Pa
             let mut pair = Vec::with_capacity(2);
             for server in [&c.base, &c.fast] {
                 req += 1;
-                let s0 = Instant::now();
                 let served = t.span("engine.serve", req, |_| serve(server, p, c.n))?;
-                serve_ms += s0.elapsed().as_secs_f64() * 1e3;
-                let resumed = stepped(t, server, p, c.n, req)?;
-                if format!("{resumed:?}") != format!("{served:?}") {
-                    mismatched += 1;
+                let ((traced, _), (plain, _)) = overhead.both(req.is_multiple_of(2), |traced| {
+                    stepped(traced.then_some(&mut *t), server, p, c.n, req)
+                });
+                for resumed in [traced?, plain?] {
+                    mismatched += usize::from(format!("{resumed:?}") != format!("{served:?}"));
                 }
                 pair.push(served);
                 serves += 1;
@@ -179,10 +190,11 @@ fn traced_pass(cells: &[Cell], t: &mut Tracer, report: &mut Report) -> Result<Pa
         out.push(row);
     }
     report.check(
-        format!("begin_request/step/finish equals serve bit for bit ({serves} requests, {mismatched} differ)"),
+        format!("begin_request/step/finish, traced and untraced, equals serve bit for bit ({serves} requests, {mismatched} runs differ)"),
         mismatched == 0,
     );
-    Ok(Pass::new(serve_ms, serves, out).without_outcomes())
+    // Host time of traced passes is read from the spans, not the pass.
+    Ok(Pass::new(0.0, serves, out).without_outcomes())
 }
 
 pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Report, String> {
@@ -205,7 +217,8 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Report, String> {
     };
 
     let start = Instant::now();
-    let mut tracer = Tracer::new(trace);
+    let mut tracer = trace.then(Tracer::default);
+    let mut overhead = Overhead::default();
     let mut passes = Vec::new();
     let mut traced = Vec::new();
     let mut cells;
@@ -217,8 +230,8 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Report, String> {
         } else {
             p.without_outcomes()
         });
-        if trace {
-            traced.push(traced_pass(&cells, &mut tracer, &mut report)?);
+        if let Some(t) = tracer.as_mut() {
+            traced.push(traced_pass(&cells, t, &mut overhead, &mut report)?);
         }
         if start.elapsed().as_secs_f64() >= seconds {
             break;
@@ -321,14 +334,7 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Report, String> {
     ));
     report.note("the cost model is otherwise unvalidated against hardware");
 
-    if trace {
-        let untraced_ms = median(&pass_ms);
-        let traced_ms = median(
-            &traced
-                .iter()
-                .map(|p| p.ms / p.serves as f64)
-                .collect::<Vec<_>>(),
-        );
+    if let Some(tracer) = tracer {
         let agg = tracer.aggregates();
         let steps = agg.get("engine.step").copied().unwrap_or_default();
         report.set("sim_speedup_vs_vllm", geomean);
@@ -348,10 +354,7 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Report, String> {
         report.set("kv.gen.evicted_tokens", gen_evicted as f64);
         report.set("kv.gen.recomputed_tokens", gen_recomputed as f64);
         report.set("kv.ver.recomputed_tokens", ver_recomputed as f64);
-        report.set(
-            "bench.trace_overhead_pct",
-            (traced_ms / untraced_ms - 1.0) * 100.0,
-        );
+        report.set("bench.trace_overhead_pct", overhead.pct());
         report.tracer = Some(tracer);
     }
     Ok(report)

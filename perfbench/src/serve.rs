@@ -10,7 +10,7 @@
 //! the first read after it replays the whole trace and the later reads
 //! are memo hits. Prompts are distinct: no request shares a prompt.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 use ftts_metrics::{SloClass, StreamRecord, StreamSummary, Summary};
 use ftts_serve::{net, parse_frame, Json, ServeConfig, ServeRuntime};
 
-use crate::trace::Tracer;
+use crate::trace::{Overhead, Tracer};
 use crate::{median, Report, SetupClock};
 
 /// Frames per wall-clock second on the open loop. The current code keeps
@@ -38,10 +38,14 @@ const SLOS: [(&str, f64); 3] = [("interactive", 15.0), ("standard", 30.0), ("bat
 /// the engine seed stays fixed, because drawn from the workload seed
 /// too it spreads the sim latencies across seeds by a fifth.
 const ENGINE_SEED: u64 = 11;
-/// Set-ups timed before and after the session.
-const SETUPS: usize = 20;
-/// In-process replays of the session's frames.
-const REPLAYS: usize = 5;
+/// The set-up's warm-up: this many frames of a fixed schedule (not
+/// drawn from the workload seed, so the set-up work is the same on
+/// every seed), handled in-process before the server starts.
+const WARMUP_FRAMES: usize = 64;
+const WARMUP_SEED: u64 = 0;
+/// A reply whose newline arrives this long after its first byte is
+/// stalled.
+const STALL: Duration = Duration::from_millis(10);
 const IO_TIMEOUT: Duration = Duration::from_secs(60);
 
 fn config_text() -> String {
@@ -141,12 +145,13 @@ struct Session {
     reader: BufReader<TcpStream>,
 }
 
-fn start(config: &ServeConfig) -> Result<Session, String> {
+/// Serve `runtime` on a loopback listener and connect one client.
+fn start(config: &ServeConfig, runtime: ServeRuntime) -> Result<Session, String> {
     let listener = TcpListener::bind(&config.listen).map_err(|e| format!("bind: {e}"))?;
     let addr = listener
         .local_addr()
         .map_err(|e| format!("local_addr: {e}"))?;
-    let runtime = Arc::new(Mutex::new(ServeRuntime::new(config.clone())));
+    let runtime = Arc::new(Mutex::new(runtime));
     let server = thread::spawn(move || net::serve(&listener, &runtime));
     let writer = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
     writer
@@ -189,32 +194,64 @@ fn stop(mut s: Session) -> Result<String, String> {
     Ok(reply)
 }
 
-/// The open loop over TCP: (send instants, reply instants, replies).
+/// The open loop over TCP, per frame: when it was due and sent, when
+/// the first byte and the newline of its reply arrived, and the reply.
 struct OpenLoop {
     due: Vec<Instant>,
     sent: Vec<Instant>,
+    first: Vec<Instant>,
     got: Vec<Instant>,
     replies: Vec<String>,
 }
 
+/// Read `count` reply lines off the socket, stamping each with the
+/// receive that brought its first byte and the one that brought its
+/// newline.
+fn timed_lines(
+    stream: &mut TcpStream,
+    count: usize,
+) -> Result<Vec<(String, Instant, Instant)>, String> {
+    let mut out = Vec::with_capacity(count);
+    let mut line = Vec::new();
+    let mut first = None;
+    let mut buf = vec![0u8; 1 << 16];
+    while out.len() < count {
+        let n = stream.read(&mut buf).map_err(|e| format!("recv: {e}"))?;
+        if n == 0 {
+            return Err("server hung up".into());
+        }
+        let now = Instant::now();
+        for &b in &buf[..n] {
+            if b == b'\n' {
+                let text = String::from_utf8(std::mem::take(&mut line))
+                    .map_err(|e| format!("reply is not UTF-8: {e}"))?;
+                out.push((text, first.take().unwrap_or(now), now));
+            } else {
+                first.get_or_insert(now);
+                line.push(b);
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// Send `frames` on their schedule and read the replies on another
+/// thread. The writer calls `after_send` with each frame's index once
+/// the frame is sent.
 fn open_loop(
     s: &mut Session,
     frames: &[Frame],
     t0: Instant,
     gap: Duration,
+    mut after_send: impl FnMut(usize) -> Result<(), String>,
 ) -> Result<OpenLoop, String> {
     let Session { writer, reader, .. } = s;
+    if !reader.buffer().is_empty() {
+        return Err("unread bytes before the open loop".into());
+    }
+    let stream = reader.get_mut();
     thread::scope(|scope| {
-        let rx = scope.spawn(|| -> Result<(Vec<Instant>, Vec<String>), String> {
-            let mut got = Vec::with_capacity(frames.len());
-            let mut replies = Vec::with_capacity(frames.len());
-            for _ in frames {
-                let line = read_reply(reader)?;
-                got.push(Instant::now());
-                replies.push(line);
-            }
-            Ok((got, replies))
-        });
+        let rx = scope.spawn(|| timed_lines(stream, frames.len()));
         let mut sent = Vec::with_capacity(frames.len());
         let mut send_err = None;
         for (i, f) in frames.iter().enumerate() {
@@ -223,8 +260,12 @@ fn open_loop(
                 thread::sleep(wait);
             }
             sent.push(Instant::now());
-            if let Err(e) = writer.write_all(format!("{}\n", f.line).as_bytes()) {
-                send_err = Some(format!("send: {e}"));
+            if let Err(e) = writer
+                .write_all(format!("{}\n", f.line).as_bytes())
+                .map_err(|e| format!("send: {e}"))
+                .and_then(|()| after_send(i))
+            {
+                send_err = Some(e);
                 break;
             }
         }
@@ -234,14 +275,19 @@ fn open_loop(
         if let Some(e) = send_err {
             return Err(e);
         }
-        let (got, replies) = received?;
-        let due = (0..frames.len()).map(|i| t0 + gap * i as u32).collect();
-        Ok(OpenLoop {
-            due,
+        let mut out = OpenLoop {
+            due: (0..frames.len()).map(|i| t0 + gap * i as u32).collect(),
             sent,
-            got,
-            replies,
-        })
+            first: Vec::with_capacity(frames.len()),
+            got: Vec::with_capacity(frames.len()),
+            replies: Vec::with_capacity(frames.len()),
+        };
+        for (reply, first, got) in received? {
+            out.replies.push(reply);
+            out.first.push(first);
+            out.got.push(got);
+        }
+        Ok(out)
     })
 }
 
@@ -256,20 +302,27 @@ fn is_error(reply: &str) -> bool {
 pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Report, String> {
     let mut report = Report::default();
     let text = config_text();
-    // Set-up: parse and validate the config, build the runtime, bind,
-    // connect and answer one query, then shut the server down again.
-    // Timed before and after the session so the samples span the run.
+    // Set-up: parse and validate the config, build the runtime and warm
+    // it up on a fixed frame schedule, then serve it, answer one query
+    // over TCP and shut the server down again. One set-up runs on the
+    // open loop's writer after the first write of every cycle, while
+    // the session's server is idle, so the samples span the whole run
+    // rather than one burst of the machine's load.
+    let (warmup, _) = frames(WARMUP_SEED, WARMUP_FRAMES);
+    let mut warmup_errors = 0u64;
     let mut setups = SetupClock::default();
     let mut setup = || {
-        setups.time(SETUPS, || -> Result<(), String> {
+        setups.time(1, || -> Result<String, String> {
             let config = ServeConfig::parse(&text)?;
-            let mut s = start(&config)?;
+            let mut runtime = ServeRuntime::new(config.clone());
+            for f in &warmup {
+                warmup_errors += u64::from(is_error(&runtime.handle_line(&f.line).reply));
+            }
+            let mut s = start(&config, runtime)?;
             call(&mut s, "{\"op\":\"stats\"}")?;
-            stop(s)?;
-            Ok(())
+            stop(s)
         })
     };
-    setup()?;
 
     let config = ServeConfig::parse(&text)?;
     // The frame count is fixed by the run length at a fixed rate.
@@ -277,9 +330,14 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Report, String> {
     let (frames, subs) = frames(seed, count);
     let gap = Duration::from_secs_f64(1.0 / FRAMES_PER_S);
 
-    let mut session = start(&config)?;
+    let mut session = start(&config, ServeRuntime::new(config.clone()))?;
     let t0 = Instant::now() + Duration::from_millis(20);
-    let looped = open_loop(&mut session, &frames, t0, gap)?;
+    let looped = open_loop(&mut session, &frames, t0, gap, |i| {
+        if i % CYCLE == 0 {
+            setup()?;
+        }
+        Ok(())
+    })?;
     // Drain: one closed-loop `status` per request, for the sim metrics.
     let mut drain = Vec::new();
     for s in subs.iter().filter(|s| !s.cancelled) {
@@ -287,8 +345,14 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Report, String> {
         drain.push((line.clone(), call(&mut session, &line)?));
     }
     let shutdown_reply = stop(session)?;
-    setup()?;
+    // The open loop ended, so every cycle ran its set-up.
+    let setups_run = frames.len().div_ceil(CYCLE);
     report.set("setup_s", setups.median());
+    report.phase(
+        format!("set-up warm-up frames x{setups_run}"),
+        (warmup.len() * setups_run) as u64,
+        warmup_errors,
+    );
 
     let mut tcp_replies: Vec<&str> = looped.replies.iter().map(String::as_str).collect();
     tcp_replies.extend(drain.iter().map(|(_, r)| r.as_str()));
@@ -297,24 +361,14 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Report, String> {
     all_lines.extend(drain.iter().map(|(l, _)| l.as_str()));
     all_lines.push("{\"op\":\"shutdown\"}");
 
-    // In-process replays of the same frames: the byte-identity oracle,
-    // and the runtime's own host cost per request (median of replays).
-    let timed = frames.len();
-    let mut mismatched = 0;
-    let mut replay_ms = Vec::with_capacity(REPLAYS);
-    for _ in 0..REPLAYS {
-        let mut runtime = ServeRuntime::new(config.clone());
-        let mut total_ms = 0.0;
-        for (i, (line, tcp)) in all_lines.iter().zip(&tcp_replies).enumerate() {
-            let h0 = Instant::now();
-            let handled = runtime.handle_line(line);
-            if i < timed {
-                total_ms += ms(h0.elapsed());
-            }
-            mismatched += usize::from(handled.reply != *tcp);
-        }
-        replay_ms.push(total_ms);
-    }
+    // An in-process replay of the same frames is the byte-identity
+    // oracle.
+    let mut runtime = ServeRuntime::new(config.clone());
+    let mismatched = all_lines
+        .iter()
+        .zip(&tcp_replies)
+        .filter(|(line, tcp)| runtime.handle_line(line).reply != **tcp)
+        .count();
     report.check(
         format!(
             "TCP reply stream is byte-identical to an in-process replay ({} frames, {mismatched} differ)",
@@ -323,6 +377,7 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Report, String> {
         mismatched == 0 && tcp_replies.len() == all_lines.len(),
     );
 
+    let timed = frames.len();
     let timed_errors = looped.replies.iter().filter(|r| is_error(r)).count() as u64;
     let drain_errors = drain.iter().filter(|(_, r)| is_error(r)).count() as u64;
     report.phase("open-loop frames", frames.len() as u64, timed_errors);
@@ -361,7 +416,25 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Report, String> {
     }
     let summary = StreamSummary::of(&records);
     let requests = subs.len();
-    report.set("host_ms_per_req", median(&replay_ms) / requests as f64);
+    // Host time per request on the socket: every open-loop frame's time
+    // from its due time to the first byte of its reply, summed and
+    // shared out over the submits. The reply's newline can trail its
+    // first byte by a delayed-ACK period (the server writes the two
+    // separately), on a share of frames that swings from run to run;
+    // that stall is counted apart.
+    let first_byte_ms: Vec<f64> = (0..timed)
+        .map(|i| ms(looped.first[i].saturating_duration_since(looped.due[i])))
+        .collect();
+    let reply_ms: Vec<f64> = (0..timed)
+        .map(|i| ms(looped.got[i].saturating_duration_since(looped.due[i])))
+        .collect();
+    let stalled = (0..timed)
+        .filter(|&i| looped.got[i] - looped.first[i] > STALL)
+        .count();
+    report.set(
+        "host_ms_per_req",
+        first_byte_ms.iter().sum::<f64>() / requests as f64,
+    );
     report.set("sim_goodput_tok_s", summary.stream_goodput);
     report.set("sim_latency_p50_s", summary.latency.p50);
     report.set("sim_latency_p95_s", summary.latency.p95);
@@ -369,7 +442,7 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Report, String> {
     let lat = |op: Op| -> Summary {
         let v: Vec<f64> = (0..timed)
             .filter(|&i| frames[i].op == op)
-            .map(|i| ms(looped.got[i].saturating_duration_since(looped.due[i])))
+            .map(|i| reply_ms[i])
             .collect();
         Summary::of(&v)
     };
@@ -390,12 +463,10 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Report, String> {
         w.p50, w.p95, r.p50, r.p95
     ));
     report.note(format!(
-        "host ms per in-process replay: {}",
-        replay_ms
-            .iter()
-            .map(|m| format!("{m:.1}"))
-            .collect::<Vec<_>>()
-            .join(" ")
+        "first reply byte ms (from due time): p50 {:.3} p95 {:.3}; {stalled} of {timed} replies end more than {} ms after their first byte",
+        Summary::of(&first_byte_ms).p50,
+        Summary::of(&first_byte_ms).p95,
+        STALL.as_millis()
     ));
     report.note(format!(
         "sim: deadline hit rate {:.4} over {} active requests, {} shed",
@@ -410,34 +481,42 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Report, String> {
         report.set("reply_read_p50_ms", r.p50);
         report.set("reply_read_p95_ms", r.p95);
         report.set("bench.gen_lag_p95_ms", gen_lag_p95);
+        report.set("serve.net.stalled_replies", stalled as f64);
         report.set(
             "sim_deadline_hit_rate",
             hits as f64 / records.len().max(1) as f64,
         );
-        let untraced_ms = median(&replay_ms);
-        traced_in_process(&config, &frames, gap, &looped, untraced_ms, &mut report)?;
+        traced_in_process(
+            &config,
+            &frames,
+            gap,
+            &looped.replies,
+            &reply_ms,
+            &mut report,
+        )?;
     }
     Ok(report)
 }
 
 /// The traced run: the same frames, on the same schedule, straight
 /// into an in-process `ServeRuntime`, with spans around the protocol
-/// parser and the runtime.
+/// parser and the runtime. A second runtime takes every frame too,
+/// untraced, for the tracing overhead.
 fn traced_in_process(
     config: &ServeConfig,
     frames: &[Frame],
     gap: Duration,
-    tcp: &OpenLoop,
-    untraced_ms: f64,
+    tcp_replies: &[String],
+    tcp_reply_ms: &[f64],
     report: &mut Report,
 ) -> Result<(), String> {
-    let mut tracer = Tracer::new(true);
+    let mut tracer = Tracer::default();
+    let mut overhead = Overhead::default();
     let mut runtime = ServeRuntime::new(config.clone());
+    let mut plain = ServeRuntime::new(config.clone());
     let replays_before = runtime.replays();
     let t0 = Instant::now() + Duration::from_millis(20);
-    let mut latency = Vec::with_capacity(frames.len());
-    let (mut write_ms, mut read_ms) = (Vec::new(), Vec::new());
-    let mut parse_us = Vec::with_capacity(frames.len());
+    let mut reply_ms = Vec::with_capacity(frames.len());
     let mut mismatched = 0;
     for (i, f) in frames.iter().enumerate() {
         let due = t0 + gap * i as u32;
@@ -445,49 +524,60 @@ fn traced_in_process(
             thread::sleep(wait);
         }
         let req = i as u64;
-        let p0 = Instant::now();
-        let parsed = tracer.span("serve.protocol.parse", req, |_| parse_frame(&f.line));
-        parse_us.push(p0.elapsed().as_secs_f64() * 1e6);
-        std::hint::black_box(parsed).map_err(|e| format!("frame {i} does not parse: {e:?}"))?;
-        let h0 = Instant::now();
-        let handled = tracer.span("serve.runtime.handle", req, |_| {
-            runtime.handle_line(&f.line)
-        });
-        let done = Instant::now();
-        match f.op {
-            Op::Write => write_ms.push(ms(done - h0)),
-            Op::Read => read_ms.push(ms(done - h0)),
-        }
-        latency.push(ms(done.saturating_duration_since(due)));
-        mismatched += usize::from(handled.reply != tcp.replies[i]);
+        let handle = match f.op {
+            Op::Write => "serve.runtime.write",
+            Op::Read => "serve.runtime.read",
+        };
+        let ((traced, traced_t), (untraced, _)) =
+            overhead.both(i % 2 == 1, |traced| -> Result<_, String> {
+                if traced {
+                    let parsed = tracer.span("serve.protocol.parse", req, |_| parse_frame(&f.line));
+                    std::hint::black_box(parsed)
+                        .map_err(|e| format!("frame {i} does not parse: {e:?}"))?;
+                    Ok(tracer.span(handle, req, |_| runtime.handle_line(&f.line)))
+                } else {
+                    let parsed = parse_frame(&f.line);
+                    std::hint::black_box(parsed)
+                        .map_err(|e| format!("frame {i} does not parse: {e:?}"))?;
+                    Ok(plain.handle_line(&f.line))
+                }
+            });
+        let (traced, untraced) = (traced?, untraced?);
+        reply_ms.push(ms(traced_t));
+        mismatched += usize::from(traced.reply != tcp_replies[i]);
+        mismatched += usize::from(untraced.reply != tcp_replies[i]);
     }
     report.check(
-        format!("traced in-process replies equal the TCP replies ({mismatched} differ)"),
+        format!(
+            "traced and untraced in-process replies equal the TCP replies ({mismatched} differ)"
+        ),
         mismatched == 0,
     );
+    let agg = tracer.aggregates();
+    let mean_ms = |name: &str| {
+        agg.get(name)
+            .map_or(0.0, |a| a.total_ns as f64 / 1e6 / a.count.max(1) as f64)
+    };
+    let reads = agg.get("serve.runtime.read").map_or(0, |a| a.count);
     let replays = runtime.replays() - replays_before;
-    let tcp_latency: Vec<f64> = (0..frames.len())
-        .map(|i| ms(tcp.got[i].saturating_duration_since(tcp.due[i])))
-        .collect();
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
     report.phase("traced in-process frames", frames.len() as u64, 0);
-    report.set("serve.protocol.parse_us", mean(&parse_us));
-    report.set("serve.runtime.write_ms", mean(&write_ms));
-    report.set("serve.runtime.read_ms", mean(&read_ms));
+    report.phase("untraced in-process frames", frames.len() as u64, 0);
+    report.set(
+        "serve.protocol.parse_us",
+        mean_ms("serve.protocol.parse") * 1e3,
+    );
+    report.set("serve.runtime.write_ms", mean_ms("serve.runtime.write"));
+    report.set("serve.runtime.read_ms", mean_ms("serve.runtime.read"));
     report.set("serve.runtime.replays", replays as f64);
     report.set(
         "serve.runtime.memo_hit_rate",
-        1.0 - replays as f64 / read_ms.len() as f64,
+        1.0 - replays as f64 / reads.max(1) as f64,
     );
     report.set(
         "serve.net_overhead_ms",
-        median(&tcp_latency) - median(&latency),
+        median(tcp_reply_ms) - median(&reply_ms),
     );
-    let traced_ms = write_ms.iter().chain(&read_ms).sum::<f64>();
-    report.set(
-        "bench.trace_overhead_pct",
-        (traced_ms / untraced_ms - 1.0) * 100.0,
-    );
+    report.set("bench.trace_overhead_pct", overhead.pct());
     report.tracer = Some(tracer);
     Ok(())
 }

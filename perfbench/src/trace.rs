@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One recorded span; times are nanoseconds since the tracer started.
 #[derive(Debug, Clone)]
@@ -32,32 +32,28 @@ pub struct Aggregate {
 
 #[derive(Debug)]
 pub struct Tracer {
-    enabled: bool,
     origin: Instant,
     spans: Vec<Span>,
     open: Vec<usize>,
 }
 
-impl Tracer {
-    pub fn new(enabled: bool) -> Self {
+impl Default for Tracer {
+    fn default() -> Self {
         Self {
-            enabled,
             origin: Instant::now(),
             spans: Vec::new(),
             open: Vec::new(),
         }
     }
+}
 
+impl Tracer {
     fn now_ns(&self) -> u64 {
         u64::try_from(self.origin.elapsed().as_nanos()).expect("run shorter than 584 years")
     }
 
-    /// Run `f` inside a span named `name` for request `req`. A disabled
-    /// tracer only calls `f`.
+    /// Run `f` inside a span named `name` for request `req`.
     pub fn span<T>(&mut self, name: &'static str, req: u64, f: impl FnOnce(&mut Self) -> T) -> T {
-        if !self.enabled {
-            return f(self);
-        }
         let id = self.spans.len();
         let start_ns = self.now_ns();
         self.spans.push(Span {
@@ -122,13 +118,68 @@ impl Tracer {
     }
 }
 
+/// `f` inside a span when there is a tracer, `f` alone when there is
+/// none: the untraced twin of a traced call.
+pub fn span_if<T>(
+    t: &mut Option<&mut Tracer>,
+    name: &'static str,
+    req: u64,
+    f: impl FnOnce() -> T,
+) -> T {
+    match t {
+        Some(t) => t.span(name, req, |_| f()),
+        None => f(),
+    }
+}
+
+/// Tracing overhead: host time of the same work done traced and
+/// untraced.
+#[derive(Debug, Default)]
+pub struct Overhead {
+    traced: Duration,
+    plain: Duration,
+}
+
+impl Overhead {
+    /// Do the same work traced (`f(true)`) and untraced (`f(false)`),
+    /// the untraced one first when `plain_first` so that neither side
+    /// always runs on warm caches, and add both host times. Returns each
+    /// result with its host time, the traced one first.
+    pub fn both<T>(
+        &mut self,
+        plain_first: bool,
+        mut f: impl FnMut(bool) -> T,
+    ) -> ((T, Duration), (T, Duration)) {
+        let mut timed = |traced: bool| {
+            let t0 = Instant::now();
+            let out = f(traced);
+            (out, t0.elapsed())
+        };
+        let (traced, plain) = if plain_first {
+            let plain = timed(false);
+            (timed(true), plain)
+        } else {
+            let traced = timed(true);
+            (traced, timed(false))
+        };
+        self.traced += traced.1;
+        self.plain += plain.1;
+        (traced, plain)
+    }
+
+    /// How much longer the traced work took, in percent.
+    pub fn pct(&self) -> f64 {
+        (self.traced.as_secs_f64() / self.plain.as_secs_f64() - 1.0) * 100.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn self_time_excludes_children() {
-        let mut t = Tracer::new(true);
+        let mut t = Tracer::default();
         t.span("outer", 1, |t| {
             t.span("inner", 1, |_| {
                 std::thread::sleep(std::time::Duration::from_millis(2))
@@ -140,12 +191,5 @@ mod tests {
         assert!(outer.total_ns >= inner.total_ns);
         assert_eq!(outer.self_ns, outer.total_ns - inner.total_ns);
         assert_eq!(inner.self_ns, inner.total_ns);
-    }
-
-    #[test]
-    fn disabled_tracer_records_nothing() {
-        let mut t = Tracer::new(false);
-        assert_eq!(t.span("x", 0, |_| 7), 7);
-        assert!(t.aggregates().is_empty());
     }
 }
