@@ -6,11 +6,13 @@
 //! shedding, degradation). Arrivals are Zipf-popular draws from a fixed
 //! catalogue of AMC-2023 problems (shared prompts, so warm starts from
 //! the tier happen), arrive by Poisson and carry round-robin SLO
-//! deadlines. The seed draws the popularity sample and the arrival
-//! times; the catalogue and the engine seed stay fixed, because with
-//! them drawn from the seed too the sim metrics spread by more than a
-//! fifth across seeds. Losing a device leaves the three survivors
-//! close to saturation.
+//! deadlines. The seed draws the arrival times. The catalogue, the
+//! popularity sample (which problems arrive, in which order) and the
+//! engine seed stay fixed: with the catalogue and the engine seed drawn
+//! from the seed too the sim metrics spread by more than a fifth across
+//! seeds, and with the popularity sample `host_ms_per_req` spread by
+//! 0.15 over ten seeds, against 0.03 with it fixed. Losing a device
+//! leaves the three survivors close to saturation.
 //! Host time here is dominated by the fleet router, which re-simulates
 //! a device from t = 0 on every routing event.
 
@@ -27,6 +29,7 @@ use ftts_metrics::{SloClass, Summary};
 use ftts_search::SearchKind;
 use ftts_workload::{zipf_problems, ArrivalPattern, Dataset, RequestArrival};
 
+use crate::speed::{SpeedClock, SpeedSampler};
 use crate::trace::{Overhead, Tracer};
 use crate::{median, Report, SetupClock};
 
@@ -40,6 +43,7 @@ const TIER_BYTES: u64 = 1 << 33;
 const REQUESTS: usize = 200;
 const DISTINCT_PROBLEMS: usize = 32;
 const CATALOGUE_SEED: u64 = 47;
+const POPULARITY_SEED: u64 = 424_242;
 const ENGINE_SEED: u64 = 17;
 const ZIPF_SKEW: f64 = 0.8;
 /// Offered load, requests per simulated second: 88% of what three
@@ -92,7 +96,7 @@ fn tuning() -> TimelineTuning {
 
 fn arrivals(seed: u64) -> Vec<RequestArrival> {
     let ranked = Dataset::Amc2023.problems(DISTINCT_PROBLEMS, CATALOGUE_SEED);
-    let drawn = zipf_problems(&ranked, REQUESTS, ZIPF_SKEW, seed);
+    let drawn = zipf_problems(&ranked, REQUESTS, ZIPF_SKEW, POPULARITY_SEED);
     ArrivalPattern::Poisson { rate: RATE }
         .schedule(&drawn, seed)
         .into_iter()
@@ -193,6 +197,7 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Report, String> {
         })
     };
 
+    let sampler = SpeedSampler::start();
     let start = Instant::now();
     let mut tracer = trace.then(Tracer::default);
     let mut overhead = Overhead::default();
@@ -201,7 +206,7 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Report, String> {
     // with the number of runs.
     let mut first: Option<FleetRun> = None;
     let mut prints = Vec::new();
-    let mut run_ms = Vec::new();
+    let mut runs = SpeedClock::default();
     let mut traced_prints = Vec::new();
     let mut traced_ms = Vec::new();
     let (mut unresolved_count, mut leaking_runs) = (0u64, 0usize);
@@ -210,23 +215,18 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Report, String> {
         setup = fresh()?;
         let run = if let Some(t) = tracer.as_mut() {
             // The same fleet run traced and untraced, for the overhead.
-            let ((traced, traced_t), (run, run_t)) =
-                overhead.both(prints.len() % 2 == 1, |traced| {
-                    if traced {
-                        t.span("fleet.run", 0, |_| run_fleet(&setup))
-                    } else {
-                        run_fleet(&setup)
-                    }
-                });
+            let ((traced, traced_t), (run, _)) = overhead.both(prints.len() % 2 == 1, |traced| {
+                if traced {
+                    t.span("fleet.run", 0, |_| run_fleet(&setup))
+                } else {
+                    run_fleet(&setup)
+                }
+            });
             traced_ms.push(traced_t.as_secs_f64() * 1e3);
             traced_prints.push(fingerprint(&traced?));
-            run_ms.push(run_t.as_secs_f64() * 1e3);
             run?
         } else {
-            let t0 = Instant::now();
-            let run = run_fleet(&setup)?;
-            run_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-            run
+            runs.time(|| run_fleet(&setup))?
         };
         unresolved_count += unresolved(&setup, &run);
         leaking_runs += usize::from(run.device_runs.iter().any(|d| d.final_reserved_bytes != 0));
@@ -237,7 +237,8 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Report, String> {
         }
     }
 
-    report.set("setup_s", setups.median());
+    let speed = sampler.finish()?;
+    report.set("setup_s", setups.median(&speed));
     let first = first.expect("at least one fleet run");
     let reference = &prints[0];
     report.phase(
@@ -262,7 +263,12 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Report, String> {
     );
 
     let summary = first.fleet_summary();
-    report.set("host_ms_per_req", median(&run_ms) / REQUESTS as f64);
+    // Host time per request is an untraced run's metric.
+    let per_req = |ms: Vec<f64>| -> Vec<f64> { ms.iter().map(|m| m / REQUESTS as f64).collect() };
+    let run_ms = per_req(runs.corrected(&speed));
+    if !trace {
+        report.set("host_ms_per_req", median(&run_ms));
+    }
     report.set("sim_goodput_tok_s", summary.stream_goodput);
     report.set("sim_latency_p50_s", summary.latency.p50);
     report.set("sim_latency_p95_s", summary.latency.p95);
@@ -271,14 +277,20 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Report, String> {
         setup.arrivals[REQUESTS - 1].at,
         setup.arrivals[REQUESTS / 3].at
     ));
-    report.note(format!(
-        "host ms per fleet run: {}",
-        run_ms
-            .iter()
-            .map(|m| format!("{m:.1}"))
+    let list = |v: &[f64]| {
+        v.iter()
+            .map(|m| format!("{m:.2}"))
             .collect::<Vec<_>>()
             .join(" ")
-    ));
+    };
+    if !trace {
+        report.note(format!(
+            "host ms per request by run, speed-corrected: {}; wall-clock: {}; core slowdown (median over the run): {:.3}",
+            list(&run_ms),
+            list(&per_req(runs.raw())),
+            speed.median()
+        ));
+    }
     report.note(format!(
         "sim: deadline hit rate {:.4}, {} shed, {} migrations, {} warm hits",
         summary.deadline_hit_rate,

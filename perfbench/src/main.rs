@@ -18,12 +18,13 @@
 mod fleet;
 mod paper;
 mod serve;
+mod speed;
 mod trace;
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 use ftts_serve::Json;
+use speed::{SpeedClock, SpeedTrace};
 
 /// Whether a metric is wall-clock of the simulator (`host`) or virtual
 /// time of the modeled edge system (`sim`, deterministic per seed).
@@ -205,27 +206,26 @@ impl Report {
     }
 }
 
-/// Set-up time samples. Workloads set up several times per run, spread
-/// over the run, and report the median.
+/// Set-up time samples, each corrected for the core's speed (see
+/// `speed.rs`). Workloads set up several times per run, spread over the
+/// run, and report the median.
 #[derive(Debug, Default)]
-pub struct SetupClock(Vec<f64>);
+pub struct SetupClock(SpeedClock);
 
 impl SetupClock {
-    /// Run `setup` `times` times, recording each duration, and return
-    /// the last set-up's product.
+    /// Run `setup` `times` times, timing each, and return the last
+    /// set-up's product.
     pub fn time<T>(&mut self, times: usize, mut setup: impl FnMut() -> T) -> T {
         let mut last = None;
         for _ in 0..times.max(1) {
-            let t0 = Instant::now();
-            let built = std::hint::black_box(setup());
-            self.0.push(t0.elapsed().as_secs_f64());
-            last = Some(built);
+            last = Some(self.0.time(&mut setup));
         }
         last.expect("at least one set-up")
     }
 
-    pub fn median(&self) -> f64 {
-        median(&self.0)
+    /// Median speed-corrected set-up time, seconds.
+    pub fn median(&self, speed: &SpeedTrace) -> f64 {
+        median(&self.0.corrected(speed)) / 1e3
     }
 }
 
@@ -315,6 +315,14 @@ fn main() {
         eprintln!("perfbench: {e}");
         std::process::exit(2);
     }
+    // Every thread of the run shares one CPU with the speed sampler.
+    let cpu = match speed::pin_to_one_cpu() {
+        Ok(cpu) => cpu,
+        Err(e) => {
+            eprintln!("perfbench: {e}");
+            std::process::exit(1);
+        }
+    };
     let run = match args.workload.as_str() {
         "paper_interactive" => paper::run,
         "fleet_crash" => fleet::run,
@@ -351,12 +359,11 @@ fn main() {
 
     let expected = if args.trace { PER_LAYER } else { END_TO_END };
     println!(
-        "== perfbench {} seed={} seconds={} trace={} threads={}",
+        "== perfbench {} seed={} seconds={} trace={} cpu={cpu}",
         args.workload,
         args.seed,
         args.seconds,
         u8::from(args.trace),
-        std::thread::available_parallelism().map_or(1, usize::from)
     );
     for line in &report.notes {
         println!("   {line}");

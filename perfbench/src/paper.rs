@@ -16,6 +16,7 @@ use ftts_model::ProblemSpec;
 use ftts_search::{make_driver, SearchKind};
 use ftts_workload::Dataset;
 
+use crate::speed::{SpeedClock, SpeedSampler};
 use crate::trace::{span_if, Overhead, Tracer};
 use crate::{median, Report, SetupClock};
 
@@ -49,14 +50,20 @@ type Fingerprint = Vec<(Option<u32>, u64, u64)>;
 /// the first pass keeps its outcomes; later ones keep the fingerprint,
 /// so the peak RSS does not grow with the number of passes.
 struct Pass {
-    ms: f64,
+    /// Host time of the pass's serves, each corrected for the core's
+    /// speed; `None` for a traced pass.
+    clock: Option<SpeedClock>,
     serves: u64,
     print: Fingerprint,
     out: Vec<Vec<(ServeOutcome, ServeOutcome)>>,
 }
 
 impl Pass {
-    fn new(ms: f64, serves: u64, out: Vec<Vec<(ServeOutcome, ServeOutcome)>>) -> Self {
+    fn new(
+        clock: Option<SpeedClock>,
+        serves: u64,
+        out: Vec<Vec<(ServeOutcome, ServeOutcome)>>,
+    ) -> Self {
         let print = out
             .iter()
             .flatten()
@@ -64,7 +71,7 @@ impl Pass {
             .map(|o| (o.answer, o.goodput().to_bits(), o.latency().to_bits()))
             .collect();
         Self {
-            ms,
+            clock,
             serves,
             print,
             out,
@@ -104,20 +111,22 @@ fn serve(server: &TtsServer, p: &ProblemSpec, n: usize) -> Result<ServeOutcome, 
         .map_err(|e| format!("serve: {e}"))
 }
 
-/// Untraced grid pass.
+/// Untraced grid pass; every serve is one unit of the speed clock.
 fn pass(cells: &[Cell]) -> Result<Pass, String> {
-    let t0 = Instant::now();
+    let mut clock = SpeedClock::default();
     let mut out = Vec::with_capacity(cells.len());
     let mut serves = 0;
     for c in cells {
         let mut row = Vec::with_capacity(c.problems.len());
         for p in &c.problems {
-            row.push((serve(&c.base, p, c.n)?, serve(&c.fast, p, c.n)?));
+            let base = clock.time(|| serve(&c.base, p, c.n))?;
+            let fast = clock.time(|| serve(&c.fast, p, c.n))?;
+            row.push((base, fast));
             serves += 2;
         }
         out.push(row);
     }
-    Ok(Pass::new(t0.elapsed().as_secs_f64() * 1e3, serves, out))
+    Ok(Pass::new(Some(clock), serves, out))
 }
 
 /// Drive one request through `begin_request` → `step` → `finish`.
@@ -194,7 +203,7 @@ fn traced_pass(
         mismatched == 0,
     );
     // Host time of traced passes is read from the spans, not the pass.
-    Ok(Pass::new(0.0, serves, out).without_outcomes())
+    Ok(Pass::new(None, serves, out).without_outcomes())
 }
 
 pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Report, String> {
@@ -216,6 +225,7 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Report, String> {
         })
     };
 
+    let sampler = SpeedSampler::start();
     let start = Instant::now();
     let mut tracer = trace.then(Tracer::default);
     let mut overhead = Overhead::default();
@@ -237,7 +247,8 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Report, String> {
             break;
         }
     }
-    report.set("setup_s", setups.median());
+    let speed = sampler.finish()?;
+    report.set("setup_s", setups.median(&speed));
 
     let first = &passes[0].print;
     let serves = passes[0].serves;
@@ -302,7 +313,17 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Report, String> {
     );
     let geomean = Summary::geomean(&speedups);
     let lat = Summary::of(&latencies);
-    let pass_ms: Vec<f64> = passes.iter().map(|p| p.ms / p.serves as f64).collect();
+    let per_req = |ms: &dyn Fn(&SpeedClock) -> Vec<f64>| -> Vec<f64> {
+        passes
+            .iter()
+            .filter_map(|p| {
+                let c = p.clock.as_ref()?;
+                Some(ms(c).iter().sum::<f64>() / p.serves as f64)
+            })
+            .collect()
+    };
+    let pass_ms = per_req(&|c| c.corrected(&speed));
+    let raw_ms = per_req(&SpeedClock::raw);
     report.set("host_ms_per_req", median(&pass_ms));
     report.set(
         "sim_goodput_tok_s",
@@ -310,13 +331,17 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Report, String> {
     );
     report.set("sim_latency_p50_s", lat.p50);
     report.set("sim_latency_p95_s", lat.p95);
-    report.note(format!(
-        "host ms per request by pass: {}",
-        pass_ms
-            .iter()
+    let list = |v: &[f64]| {
+        v.iter()
             .map(|m| format!("{m:.2}"))
             .collect::<Vec<_>>()
             .join(" ")
+    };
+    report.note(format!(
+        "host ms per request by pass, speed-corrected: {}; wall-clock: {}; core slowdown (median over the run): {:.3}",
+        list(&pass_ms),
+        list(&raw_ms),
+        speed.median()
     ));
     report.note(format!(
         "grid: {} cells, {} problems, {} serves per pass; {} passes in {:.1} s",

@@ -9,6 +9,8 @@
 //! four reads (`stats` and `status`). Every write changes the trace, so
 //! the first read after it replays the whole trace and the later reads
 //! are memo hits. Prompts are distinct: no request shares a prompt.
+//! After the open loop, bursts send the same frames all at once to a
+//! fresh server each; their time gives `host_ms_per_req`.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -19,6 +21,7 @@ use std::time::{Duration, Instant};
 use ftts_metrics::{SloClass, StreamRecord, StreamSummary, Summary};
 use ftts_serve::{net, parse_frame, Json, ServeConfig, ServeRuntime};
 
+use crate::speed::{SpeedClock, SpeedSampler};
 use crate::trace::{Overhead, Tracer};
 use crate::{median, Report, SetupClock};
 
@@ -38,6 +41,10 @@ const SLOS: [(&str, f64); 3] = [("interactive", 15.0), ("standard", 30.0), ("bat
 /// the engine seed stays fixed, because drawn from the workload seed
 /// too it spreads the sim latencies across seeds by a fifth.
 const ENGINE_SEED: u64 = 11;
+/// Bursts after the open loop, and set-ups timed before each. With
+/// three bursts `host_ms_per_req` spread by up to 0.10 over ten seeds.
+const BURSTS: usize = 5;
+const SETUPS_PER_BURST: usize = 2;
 /// The set-up's warm-up: this many frames of a fixed schedule (not
 /// drawn from the workload seed, so the set-up work is the same on
 /// every seed), handled in-process before the server starts.
@@ -236,14 +243,12 @@ fn timed_lines(
 }
 
 /// Send `frames` on their schedule and read the replies on another
-/// thread. The writer calls `after_send` with each frame's index once
-/// the frame is sent.
+/// thread.
 fn open_loop(
     s: &mut Session,
     frames: &[Frame],
     t0: Instant,
     gap: Duration,
-    mut after_send: impl FnMut(usize) -> Result<(), String>,
 ) -> Result<OpenLoop, String> {
     let Session { writer, reader, .. } = s;
     if !reader.buffer().is_empty() {
@@ -260,12 +265,8 @@ fn open_loop(
                 thread::sleep(wait);
             }
             sent.push(Instant::now());
-            if let Err(e) = writer
-                .write_all(format!("{}\n", f.line).as_bytes())
-                .map_err(|e| format!("send: {e}"))
-                .and_then(|()| after_send(i))
-            {
-                send_err = Some(e);
+            if let Err(e) = writer.write_all(format!("{}\n", f.line).as_bytes()) {
+                send_err = Some(format!("send: {e}"));
                 break;
             }
         }
@@ -291,6 +292,35 @@ fn open_loop(
     })
 }
 
+/// Send every frame at once and read the replies on another thread.
+/// Returns the replies, when the first frame was sent and when the last
+/// reply's newline arrived.
+fn burst(s: &mut Session, frames: &[Frame]) -> Result<(Vec<String>, Instant, Instant), String> {
+    let Session { writer, reader, .. } = s;
+    if !reader.buffer().is_empty() {
+        return Err("unread bytes before the burst".into());
+    }
+    let stream = reader.get_mut();
+    let mut all = String::new();
+    for f in frames {
+        all.push_str(&f.line);
+        all.push('\n');
+    }
+    thread::scope(|scope| {
+        let t0 = Instant::now();
+        let rx = scope.spawn(|| timed_lines(stream, frames.len()));
+        let sent = writer
+            .write_all(all.as_bytes())
+            .map_err(|e| format!("send: {e}"));
+        let received = rx
+            .join()
+            .map_err(|_| "reader thread panicked".to_string())??;
+        sent?;
+        let t1 = received.last().map_or(t0, |&(_, _, got)| got);
+        Ok((received.into_iter().map(|(r, _, _)| r).collect(), t0, t1))
+    })
+}
+
 fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
@@ -304,15 +334,14 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Report, String> {
     let text = config_text();
     // Set-up: parse and validate the config, build the runtime and warm
     // it up on a fixed frame schedule, then serve it, answer one query
-    // over TCP and shut the server down again. One set-up runs on the
-    // open loop's writer after the first write of every cycle, while
-    // the session's server is idle, so the samples span the whole run
-    // rather than one burst of the machine's load.
+    // over TCP and shut the server down again. Set-ups run before each
+    // burst, after the open loop, so they never share the CPU with the
+    // open loop's server.
     let (warmup, _) = frames(WARMUP_SEED, WARMUP_FRAMES);
     let mut warmup_errors = 0u64;
     let mut setups = SetupClock::default();
     let mut setup = || {
-        setups.time(1, || -> Result<String, String> {
+        setups.time(SETUPS_PER_BURST, || -> Result<String, String> {
             let config = ServeConfig::parse(&text)?;
             let mut runtime = ServeRuntime::new(config.clone());
             for f in &warmup {
@@ -330,14 +359,10 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Report, String> {
     let (frames, subs) = frames(seed, count);
     let gap = Duration::from_secs_f64(1.0 / FRAMES_PER_S);
 
+    let sampler = SpeedSampler::start();
     let mut session = start(&config, ServeRuntime::new(config.clone()))?;
     let t0 = Instant::now() + Duration::from_millis(20);
-    let looped = open_loop(&mut session, &frames, t0, gap, |i| {
-        if i % CYCLE == 0 {
-            setup()?;
-        }
-        Ok(())
-    })?;
+    let looped = open_loop(&mut session, &frames, t0, gap)?;
     // Drain: one closed-loop `status` per request, for the sim metrics.
     let mut drain = Vec::new();
     for s in subs.iter().filter(|s| !s.cancelled) {
@@ -345,13 +370,39 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Report, String> {
         drain.push((line.clone(), call(&mut session, &line)?));
     }
     let shutdown_reply = stop(session)?;
-    // The open loop ended, so every cycle ran its set-up.
-    let setups_run = frames.len().div_ceil(CYCLE);
-    report.set("setup_s", setups.median());
+
+    // Bursts: the open loop's frames again, each time on a fresh server,
+    // sent all at once; host time is from the first send to the last
+    // reply's newline.
+    let mut bursts = SpeedClock::default();
+    let mut burst_mismatched = 0usize;
+    for _ in 0..BURSTS {
+        setup()?;
+        let mut s = start(&config, ServeRuntime::new(config.clone()))?;
+        let (replies, b0, b1) = burst(&mut s, &frames)?;
+        bursts.add(b0, b1);
+        stop(s)?;
+        burst_mismatched += replies
+            .iter()
+            .zip(&looped.replies)
+            .filter(|(b, o)| b != o)
+            .count();
+    }
+    let speed = sampler.finish()?;
+    report.set("setup_s", setups.median(&speed));
     report.phase(
-        format!("set-up warm-up frames x{setups_run}"),
-        (warmup.len() * setups_run) as u64,
+        format!("set-up warm-up frames x{}", BURSTS * SETUPS_PER_BURST),
+        (warmup.len() * BURSTS * SETUPS_PER_BURST) as u64,
         warmup_errors,
+    );
+    report.phase(
+        format!("burst frames x{BURSTS}"),
+        (frames.len() * BURSTS) as u64,
+        burst_mismatched as u64,
+    );
+    report.check(
+        format!("every burst's replies equal the open loop's ({burst_mismatched} differ)"),
+        burst_mismatched == 0,
     );
 
     let mut tcp_replies: Vec<&str> = looped.replies.iter().map(String::as_str).collect();
@@ -416,12 +467,17 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Report, String> {
     }
     let summary = StreamSummary::of(&records);
     let requests = subs.len();
-    // Host time per request on the socket: every open-loop frame's time
-    // from its due time to the first byte of its reply, summed and
-    // shared out over the submits. The reply's newline can trail its
-    // first byte by a delayed-ACK period (the server writes the two
-    // separately), on a share of frames that swings from run to run;
-    // that stall is counted apart.
+    // Host time per request on the socket: a burst's time, corrected for
+    // the core's speed while it ran, shared out over the submits; median
+    // over the bursts. A burst's replies queue behind one another, so
+    // the server's split reply writes (see README.md) hold back at most
+    // the last one by a delayed-ACK period, where in the open loop they
+    // stall a share of the replies that swings from run to run.
+    let burst_ms: Vec<f64> = bursts
+        .corrected(&speed)
+        .iter()
+        .map(|b| b / requests as f64)
+        .collect();
     let first_byte_ms: Vec<f64> = (0..timed)
         .map(|i| ms(looped.first[i].saturating_duration_since(looped.due[i])))
         .collect();
@@ -431,10 +487,7 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Report, String> {
     let stalled = (0..timed)
         .filter(|&i| looped.got[i] - looped.first[i] > STALL)
         .count();
-    report.set(
-        "host_ms_per_req",
-        first_byte_ms.iter().sum::<f64>() / requests as f64,
-    );
+    report.set("host_ms_per_req", median(&burst_ms));
     report.set("sim_goodput_tok_s", summary.stream_goodput);
     report.set("sim_latency_p50_s", summary.latency.p50);
     report.set("sim_latency_p95_s", summary.latency.p95);
@@ -467,6 +520,21 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Report, String> {
         Summary::of(&first_byte_ms).p50,
         Summary::of(&first_byte_ms).p95,
         STALL.as_millis()
+    ));
+    report.note(format!(
+        "host ms per request by burst, speed-corrected: {}; wall-clock: {}; core slowdown (median over the run): {:.3}",
+        burst_ms
+            .iter()
+            .map(|m| format!("{m:.3}"))
+            .collect::<Vec<_>>()
+            .join(" "),
+        bursts
+            .raw()
+            .iter()
+            .map(|m| format!("{:.3}", m / requests as f64))
+            .collect::<Vec<_>>()
+            .join(" "),
+        speed.median()
     ));
     report.note(format!(
         "sim: deadline hit rate {:.4} over {} active requests, {} shed",
