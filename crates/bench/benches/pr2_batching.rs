@@ -21,7 +21,7 @@
 //! Run with `cargo bench --bench pr2_batching` (release profile).
 
 use criterion::{Criterion, SampleStats};
-use ftts_core::{BatchConfig, BatchRun, BatchedServerSim, TtsServer};
+use ftts_core::{BatchConfig, BatchRun, EventConfig, TimelineConfig, TimelineServerSim, TtsServer};
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
 use ftts_metrics::StreamSummary;
@@ -47,9 +47,14 @@ fn arrivals() -> Vec<RequestArrival> {
 }
 
 fn run_policy(config: BatchConfig, arrivals: &[RequestArrival]) -> BatchRun {
-    BatchedServerSim::new(server(), N_BEAMS, SearchKind::BeamSearch, config)
-        .run(arrivals)
-        .expect("policy run")
+    TimelineServerSim::new(
+        server(),
+        N_BEAMS,
+        SearchKind::BeamSearch,
+        TimelineConfig::anchored(EventConfig::lockstep(config)),
+    )
+    .run(arrivals)
+    .expect("policy run")
 }
 
 fn policy_json(label: &str, run: &BatchRun) -> String {

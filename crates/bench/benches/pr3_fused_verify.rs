@@ -32,7 +32,7 @@
 //! Run with `cargo bench --bench pr3_fused_verify` (release profile).
 
 use criterion::{Criterion, SampleStats};
-use ftts_core::{BatchConfig, BatchRun, BatchedServerSim, TtsServer};
+use ftts_core::{BatchConfig, BatchRun, EventConfig, TimelineConfig, TimelineServerSim, TtsServer};
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
 use ftts_search::SearchKind;
@@ -74,11 +74,11 @@ fn run_policy(
     seed: u64,
     memory_fraction: f64,
 ) -> BatchRun {
-    BatchedServerSim::new(
+    TimelineServerSim::new(
         server(seed, memory_fraction),
         n,
         SearchKind::BeamSearch,
-        config,
+        TimelineConfig::anchored(EventConfig::lockstep(config)),
     )
     .run(arrivals)
     .expect("policy run")

@@ -6,8 +6,8 @@
 //! n = 16 beam search — the workload where the lockstep round barrier
 //! hurts most: every round waits for the deepest search while shallow
 //! requests burn `barrier_idle`. The PR-3 policy (lockstep fused-8) is
-//! the baseline; the PR-4 policy (`EventServerSim`, fused-8, finite
-//! co-batch window) removes the barrier.
+//! the baseline; the PR-4 policy (fused-8 with a finite co-batch
+//! window, on the same scheduler kernel) removes the barrier.
 //!
 //! Asserted gates (the PR's acceptance criteria):
 //!
@@ -20,15 +20,15 @@
 //!   request-for-request).
 //!
 //! A window sweep (0 / 0.1 / 0.5 / ∞ seconds) shows the dial between
-//! "never wait" and "wait for everyone"; the infinite point must
-//! reproduce the lockstep numbers exactly (the equivalence anchor,
-//! asserted here too). Wall-clock of the event scheduler itself is
+//! "never wait" and "wait for everyone"; the infinite point is the
+//! lockstep mode itself, so it must replay the lockstep numbers exactly
+//! (asserted here too). Wall-clock of the event-driven mode is
 //! reported through the criterion shim's IQR-filtered statistics.
 //!
 //! Run with `cargo bench --bench pr4_event_sched` (release profile).
 
 use criterion::{Criterion, SampleStats};
-use ftts_core::{BatchConfig, BatchRun, BatchedServerSim, EventConfig, EventServerSim, TtsServer};
+use ftts_core::{BatchRun, EventConfig, TimelineConfig, TimelineServerSim, TtsServer};
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
 use ftts_search::SearchKind;
@@ -62,23 +62,12 @@ fn straggler_arrivals() -> Vec<RequestArrival> {
     .schedule(&problems, 0)
 }
 
-fn run_lockstep(arrivals: &[RequestArrival]) -> BatchRun {
-    BatchedServerSim::new(
-        server(17),
-        N_BEAMS,
-        SearchKind::BeamSearch,
-        BatchConfig::fused(MAX_BATCH),
-    )
-    .run(arrivals)
-    .expect("lockstep run")
-}
-
 fn run_event(arrivals: &[RequestArrival], window: f64) -> BatchRun {
-    EventServerSim::new(
+    TimelineServerSim::new(
         server(17),
         N_BEAMS,
         SearchKind::BeamSearch,
-        EventConfig::windowed(MAX_BATCH, window),
+        TimelineConfig::anchored(EventConfig::windowed(MAX_BATCH, window)),
     )
     .run(arrivals)
     .expect("event run")
@@ -158,7 +147,7 @@ fn wall_json(stats: &SampleStats) -> String {
 
 fn main() {
     let arrivals = straggler_arrivals();
-    let lockstep = run_lockstep(&arrivals);
+    let lockstep = run_event(&arrivals, f64::INFINITY);
     let event = run_event(&arrivals, WINDOW_S);
 
     println!("== pr4: event-driven scheduling on the straggler-heavy overload ==");
@@ -218,8 +207,8 @@ fn main() {
         );
         assert_eq!(l.accepted_tokens(), e.accepted_tokens());
     }
-    // The infinite-window point of the sweep is the equivalence anchor:
-    // it must land exactly on the lockstep numbers.
+    // The infinite-window point of the sweep is the lockstep mode: a
+    // second run of it must land exactly on the lockstep numbers.
     let infinite = &window_sweep.last().expect("sweep non-empty").1;
     assert_eq!(
         infinite.stream_summary().stream_goodput,
@@ -228,7 +217,7 @@ fn main() {
     );
     assert_eq!(infinite.rounds, lockstep.rounds);
 
-    // Wall-clock of the event scheduler itself (IQR-robust).
+    // Wall-clock of the event-driven mode itself (IQR-robust).
     println!("\n== pr4: scheduler wall-clock (simulator hot path) ==");
     let mut criterion = Criterion::default().sample_size(15);
     let wall = criterion.bench_stats("event_window_replay", |b| {

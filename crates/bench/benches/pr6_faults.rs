@@ -31,8 +31,8 @@
 
 use criterion::{Criterion, SampleStats};
 use ftts_core::{
-    BatchConfig, BatchRun, BatchedServerSim, FaultPlan, FaultPolicy, RobustConfig, StormConfig,
-    TtsServer,
+    BatchConfig, BatchRun, EventConfig, FaultPlan, FaultPolicy, RobustConfig, StormConfig,
+    TimelineConfig, TimelineServerSim, TtsServer,
 };
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
@@ -77,9 +77,14 @@ fn slo_arrivals() -> Vec<RequestArrival> {
 
 fn run_policy(arrivals: &[RequestArrival], plan: &FaultPlan, policy: FaultPolicy) -> BatchRun {
     let cfg = BatchConfig::continuous(MAX_BATCH).with_robust(RobustConfig::with_policy(policy));
-    BatchedServerSim::new(server(17), N_BEAMS, SearchKind::BeamSearch, cfg)
-        .run_faulted(arrivals, plan)
-        .expect("faulted run")
+    TimelineServerSim::new(
+        server(17),
+        N_BEAMS,
+        SearchKind::BeamSearch,
+        TimelineConfig::anchored(EventConfig::lockstep(cfg)),
+    )
+    .run_faulted(arrivals, plan)
+    .expect("faulted run")
 }
 
 fn policy_json(label: &str, run: &BatchRun) -> String {

@@ -28,7 +28,7 @@
 //! * the Zipf head actually hits the prefix store (`kv_tier_hits > 0`)
 //!   and the starved tier actually drops (`kv_tier_dropped_bytes > 0`);
 //! * a zero-capacity tier reproduces the tier-free run byte-for-byte
-//!   under both schedulers, including a fault-storm replay — the PR's
+//!   in lockstep and windowed modes, including a fault-storm replay — the PR's
 //!   bit-equivalence anchor;
 //! * answers are tier-invariant: placement moves time, never tokens.
 //!
@@ -36,8 +36,8 @@
 
 use criterion::{Criterion, SampleStats};
 use ftts_core::{
-    BatchConfig, BatchRun, BatchedServerSim, EventConfig, EventServerSim, FaultPlan, KvTierConfig,
-    StormConfig, TtsServer,
+    BatchConfig, BatchRun, EventConfig, FaultPlan, KvTierConfig, StormConfig, TimelineConfig,
+    TimelineServerSim, TtsServer,
 };
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
@@ -86,9 +86,14 @@ fn zipf_arrivals() -> Vec<RequestArrival> {
 
 fn run_tier(arrivals: &[RequestArrival], tier: KvTierConfig) -> BatchRun {
     let cfg = BatchConfig::continuous(MAX_BATCH).with_tier(tier);
-    BatchedServerSim::new(server(13), N_BEAMS, SearchKind::BeamSearch, cfg)
-        .run(arrivals)
-        .expect("tiered run")
+    TimelineServerSim::new(
+        server(13),
+        N_BEAMS,
+        SearchKind::BeamSearch,
+        TimelineConfig::anchored(EventConfig::lockstep(cfg)),
+    )
+    .run(arrivals)
+    .expect("tiered run")
 }
 
 /// Tokens recomputed after eviction across every request (generator and
@@ -151,7 +156,7 @@ fn wall_json(stats: &SampleStats) -> String {
 }
 
 /// The PR's bit-equivalence anchor: a zero-capacity tier must reproduce
-/// the tier-free run byte-for-byte under both schedulers, fault-free
+/// the tier-free run byte-for-byte in lockstep and windowed modes, fault-free
 /// and under a storm.
 fn assert_capacity_zero_bit_identity(arrivals: &[RequestArrival]) {
     let base = BatchConfig::continuous(MAX_BATCH);
@@ -161,25 +166,35 @@ fn assert_capacity_zero_bit_identity(arrivals: &[RequestArrival]) {
     });
     let storm = FaultPlan::storm(7, 60.0, &StormConfig::default());
     for plan in [FaultPlan::none(), storm] {
-        let plain = BatchedServerSim::new(server(13), N_BEAMS, SearchKind::BeamSearch, base)
-            .run_faulted(arrivals, &plan)
-            .expect("plain run");
-        let gated = BatchedServerSim::new(server(13), N_BEAMS, SearchKind::BeamSearch, zero)
-            .run_faulted(arrivals, &plan)
-            .expect("gated run");
-        let plain_ev = EventServerSim::new(
+        let plain = TimelineServerSim::new(
             server(13),
             N_BEAMS,
             SearchKind::BeamSearch,
-            EventConfig::new(base, 0.2),
+            TimelineConfig::anchored(EventConfig::lockstep(base)),
+        )
+        .run_faulted(arrivals, &plan)
+        .expect("plain run");
+        let gated = TimelineServerSim::new(
+            server(13),
+            N_BEAMS,
+            SearchKind::BeamSearch,
+            TimelineConfig::anchored(EventConfig::lockstep(zero)),
+        )
+        .run_faulted(arrivals, &plan)
+        .expect("gated run");
+        let plain_ev = TimelineServerSim::new(
+            server(13),
+            N_BEAMS,
+            SearchKind::BeamSearch,
+            TimelineConfig::anchored(EventConfig::new(base, 0.2)),
         )
         .run_faulted(arrivals, &plan)
         .expect("plain event run");
-        let gated_ev = EventServerSim::new(
+        let gated_ev = TimelineServerSim::new(
             server(13),
             N_BEAMS,
             SearchKind::BeamSearch,
-            EventConfig::new(zero, 0.2),
+            TimelineConfig::anchored(EventConfig::new(zero, 0.2)),
         )
         .run_faulted(arrivals, &plan)
         .expect("gated event run");

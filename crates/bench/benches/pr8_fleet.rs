@@ -32,15 +32,15 @@
 //! * prefix-affinity beats join-shortest-queue on warm prefix hits;
 //! * the crash-free 4-device fleet delivers ≥ 3x the single device's
 //!   stream goodput;
-//! * a 1-device fleet reproduces the bare event simulator bit-for-bit
+//! * a 1-device fleet reproduces a bare kernel run bit-for-bit
 //!   (completion instants and answers) — the PR's equivalence anchor.
 //!
 //! Run with `cargo bench --bench pr8_fleet` (release profile).
 
 use criterion::{Criterion, SampleStats};
 use ftts_core::{
-    BatchConfig, EventConfig, EventServerSim, FaultEvent, FaultKind, FaultPlan, FleetConfig,
-    FleetRun, FleetSim, HedgeConfig, KvTierConfig, RoutePolicy, TtsServer,
+    BatchConfig, EventConfig, FaultEvent, FaultKind, FaultPlan, FleetConfig, FleetRun, FleetSim,
+    HedgeConfig, KvTierConfig, RoutePolicy, TimelineConfig, TimelineServerSim, TtsServer,
 };
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
@@ -220,11 +220,16 @@ fn wall_json(stats: &SampleStats) -> String {
 }
 
 /// The PR's equivalence anchor: a 1-device fleet with the pass-through
-/// router reproduces the bare event simulator bit-for-bit.
+/// router reproduces a bare kernel run bit-for-bit.
 fn assert_one_device_anchor(arrivals: &[RequestArrival]) {
-    let bare = EventServerSim::new(server(17), N_BEAMS, SearchKind::BeamSearch, event_config())
-        .run_faulted(arrivals, &FaultPlan::none())
-        .expect("bare run");
+    let bare = TimelineServerSim::new(
+        server(17),
+        N_BEAMS,
+        SearchKind::BeamSearch,
+        TimelineConfig::anchored(event_config()),
+    )
+    .run_faulted(arrivals, &FaultPlan::none())
+    .expect("bare run");
     let one = fleet(1, RoutePolicy::RoundRobin, None)
         .run(arrivals)
         .expect("1-device fleet");

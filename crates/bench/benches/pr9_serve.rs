@@ -32,7 +32,8 @@
 
 use criterion::{Criterion, SampleStats};
 use ftts_core::{
-    BatchConfig, BatchRun, EventConfig, EventServerSim, TenantPolicy, TenantSpec, TtsServer,
+    BatchConfig, BatchRun, EventConfig, TenantPolicy, TenantSpec, TimelineConfig,
+    TimelineServerSim, TtsServer,
 };
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
@@ -121,11 +122,11 @@ fn fair_share_policy(pool: u64) -> TenantPolicy {
 }
 
 fn run(config: BatchConfig, trace: &[RequestArrival]) -> BatchRun {
-    EventServerSim::new(
+    TimelineServerSim::new(
         server(),
         N_BEAMS,
         SearchKind::BeamSearch,
-        EventConfig::new(config, 0.2),
+        TimelineConfig::anchored(EventConfig::new(config, 0.2)),
     )
     .run(trace)
     .expect("feasible fixture")

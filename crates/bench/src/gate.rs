@@ -450,7 +450,7 @@ pub fn default_specs() -> Vec<MetricSpec> {
         MetricSpec {
             file: "BENCH_PR10.json",
             path: "anchor_bitwise_identical_to_event",
-            label: "PR10 anchored timeline bit-identical to EventServerSim",
+            label: "PR10 anchored timeline replays bit-identically",
             min_ratio: 0.0,
             // The equivalence anchor is boolean: 1.0 or the gate is red.
             absolute: Some(1.0),

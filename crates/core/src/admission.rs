@@ -1,20 +1,16 @@
-//! Scheduler plumbing shared by the lockstep ([`BatchedServerSim`]) and
-//! event-driven ([`EventServerSim`]) request schedulers: the in-flight
-//! request record, the admission/readmission loop with its deterministic
-//! ordering tiebreak, KV-share resizing (equal and demand-proportional),
-//! and the shared-accelerator verifier sweep pricing.
+//! Scheduler plumbing for the kernel loop
+//! ([`TimelineServerSim`](crate::TimelineServerSim)): the in-flight
+//! request record, the admission/readmission loop with its
+//! deterministic ordering tiebreak, SLO sweeps and directed cancels,
+//! KV-share resizing (equal, demand-proportional and tenant
+//! fair-share), and the shared-accelerator verifier sweep pricing.
 //!
-//! Both schedulers arbitrate the *same* resources — one [`PoolBudget`]
-//! reservation ledger and one simulated accelerator — so the policies
-//! live here once. The lockstep scheduler passes its whole active set as
-//! the `group`; the event-driven scheduler passes the co-batch group
-//! that is launching plus the `rest` of the in-flight set (requests
-//! mid-iteration outside the batching window), because shares and
-//! admission caps must count *everyone* holding pool reservations, not
-//! just the requests in the current launch.
-//!
-//! [`BatchedServerSim`]: crate::BatchedServerSim
-//! [`EventServerSim`]: crate::EventServerSim
+//! Every function takes the in-flight set split in two: the `group`
+//! launching now and the `rest` (requests mid-iteration outside the
+//! co-batch window). Shares and admission caps count *everyone* holding
+//! a pool reservation, not just the launching group; admissions only
+//! ever append to the group. In lockstep mode (an infinite window) the
+//! rest is always empty.
 
 use std::collections::VecDeque;
 
@@ -64,6 +60,9 @@ pub(crate) struct InFlight {
     /// until the first declaration); drifting ±25% past it triggers the
     /// next rebalance.
     pub(crate) declared_demand: u64,
+    /// Id of this request's latest decode segment on the device
+    /// timeline — the segment a later overlapping launch stretches.
+    pub(crate) last_seg: Option<usize>,
 }
 
 impl InFlight {
@@ -85,13 +84,13 @@ pub(crate) enum AdmitCandidate {
     Fresh(usize),
 }
 
-/// The deterministic admission-order tiebreak both schedulers share.
+/// The deterministic admission-order tiebreak.
 ///
 /// Readmission candidates outrank fresh arrivals — a preempted run
 /// holds accepted tokens that must not starve behind new work — and
 /// within a class, earlier position wins: pause order for readmits,
 /// stream position for arrivals. Simultaneous arrivals therefore admit
-/// in arrival-index order, deterministically, on every scheduler.
+/// in arrival-index order, deterministically, in every mode.
 pub(crate) fn admission_rank(candidate: AdmitCandidate) -> (u8, usize) {
     match candidate {
         AdmitCandidate::Readmit(pos) => (0, pos),
@@ -131,7 +130,7 @@ pub(crate) fn pad_to_join(a: &mut InFlight, global: f64) {
 }
 
 /// Like [`pad_to`], but books the gap as *barrier* idle — the lockstep
-/// round-barrier wait event-driven scheduling removes.
+/// round-barrier wait a finite window removes.
 pub(crate) fn pad_to_barrier(a: &mut InFlight, global: f64) {
     let clock = a.run.clock();
     let absolute = a.started_at + clock;
@@ -602,6 +601,7 @@ pub(crate) fn admit(
                                 paused_at: 0.0,
                                 probe: None,
                                 declared_demand: 0,
+                                last_seg: None,
                             });
                             if policy.is_none() {
                                 top_up_first_holder(group, rest, pool, share);
@@ -670,7 +670,7 @@ fn cancel_record(a: InFlight, now: f64) -> ServedRequest {
     }
 }
 
-/// Deadline/SLO enforcement sweep, shared by both schedulers and active
+/// Deadline/SLO enforcement sweep at each launch boundary, active
 /// only under [`FaultPolicy::Degrade`](crate::FaultPolicy::Degrade):
 ///
 /// * **Early rejection** — waiting arrivals whose deadline slack has

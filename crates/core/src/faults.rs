@@ -1,18 +1,17 @@
 //! Deterministic fault injection and the SLO/robustness policy.
 //!
-//! Every run so far assumed a perfect device and infinite patience. This
-//! module makes robustness first-class, in three pieces shared by both
-//! request schedulers ([`BatchedServerSim`] and [`EventServerSim`]):
+//! This module makes robustness first-class for the scheduler kernel
+//! ([`TimelineServerSim`](crate::TimelineServerSim)), in every mode, in
+//! three pieces:
 //!
 //! * **A seeded fault plan** ([`FaultPlan`]) — a sorted timeline of
 //!   [`FaultEvent`]s perturbing the simulated device: transient kernel
 //!   failures, thermal-throttle slowdown windows, and device KV-block
 //!   loss. The plan is *data*, not randomness at run time: the same
 //!   `(seed, plan)` pair always replays bit-identically, and the empty
-//!   plan leaves a run bit-identical to the fault-free scheduler (the
-//!   equivalence anchors extend to faulty runs because both schedulers
-//!   consume the plan through the same cursor at their launch
-//!   boundaries).
+//!   plan leaves a run bit-identical to the fault-free run. The kernel
+//!   pops due events once per launch from one cursor; in lockstep mode
+//!   the launch instant is the round barrier.
 //! * **A retry/repair model.** A kernel fault poisons the next launch:
 //!   the launch's device work is partially wasted and the iteration is
 //!   retried from its last committed state — the beam tree and accepted
@@ -22,8 +21,8 @@
 //!   blindly into the still-faulty device ([`RobustConfig::blind_retries`]
 //!   collisions of pure device burn); with retry handling the launch
 //!   pays one wasted attempt plus *exponential backoff* off-device —
-//!   the device is free during backoff, which is exactly what the
-//!   event-driven scheduler exploits. KV loss drops unpinned
+//!   the device is free during backoff, which is exactly what a finite
+//!   co-batch window exploits. KV loss drops unpinned
 //!   device-resident blocks (no host copy); recovery is the normal
 //!   recompute-on-pin path, i.e. deterministic replay. All fault time
 //!   is booked to the dedicated `LatencyBreakdown::fault` bucket, never
@@ -36,9 +35,6 @@
 //!   test-time-scaling budget (beam width) per SLO class under queue
 //!   pressure *before* shedding load — the FastTTS-specific degradation
 //!   axis.
-//!
-//! [`BatchedServerSim`]: crate::BatchedServerSim
-//! [`EventServerSim`]: crate::EventServerSim
 
 use ftts_metrics::SloClass;
 use ftts_model::stream;
@@ -107,7 +103,7 @@ pub struct FaultEvent {
 /// events ([`FaultPlan::new`]), empty ([`FaultPlan::none`]), or as a
 /// seeded storm ([`FaultPlan::storm`]). Events are kept sorted by time;
 /// discrete events (kernel faults, KV losses) are consumed in order by
-/// the schedulers' launch cursor, slowdown windows are queried by
+/// the kernel's launch cursor, slowdown windows are queried by
 /// launch instant.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct FaultPlan {
@@ -397,10 +393,8 @@ pub fn degraded_beams(base: usize, slo: SloClass, level: u32) -> usize {
     (base >> level.min(8)).max(floor).max(1)
 }
 
-/// The schedulers' cursor over a plan's discrete events: pops every
-/// event due at or before each launch, exactly once, in time order.
-/// Both schedulers drive it from the same launch instants, which is
-/// what extends the lockstep-equivalence anchors to faulty runs.
+/// The kernel's cursor over a plan's discrete events: pops every event
+/// due at or before each launch, exactly once, in time order.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct FaultCursor {
     next: usize,
@@ -499,7 +493,7 @@ impl LaunchFaults {
         out
     }
 
-    /// Whether anything fired (the schedulers skip all fault
+    /// Whether anything fired (the kernel skips all fault
     /// bookkeeping when nothing did — the zero-fault bit-equivalence
     /// anchor).
     pub(crate) fn fired(&self) -> bool {

@@ -1,6 +1,7 @@
 //! N-device fleet serving: routing, crash failover, hedged stragglers.
 //!
-//! A [`FleetSim`] runs one [`EventServerSim`] timeline per device behind
+//! A [`FleetSim`] runs one scheduler kernel ([`TimelineServerSim`])
+//! per device behind
 //! a router. The edge "fleet" the paper targets is a handful of flaky
 //! accelerators, so robustness is built into the routing layer rather
 //! than bolted on:
@@ -46,7 +47,7 @@
 //! harness and are `debug_assert`-checked bit-identical to the
 //! sequential caches — fleet results are invariant to worker-thread
 //! count. A 1-device fleet with the pass-through router is bit-identical
-//! to bare [`EventServerSim`], faulted and fault-free (enforced in
+//! to a bare kernel run, faulted and fault-free (enforced in
 //! `crates/core/tests/fleet.rs`).
 
 use ftts_engine::EngineError;
@@ -55,7 +56,7 @@ use ftts_search::SearchKind;
 use ftts_workload::RequestArrival;
 
 use crate::batch_server::BatchRun;
-use crate::event_server::{EventConfig, EventServerSim, PrewarmPrefix, RunDirectives};
+use crate::event_server::{EventConfig, PrewarmPrefix, RunDirectives};
 use crate::faults::FaultPlan;
 use crate::server::{ServedRequest, TtsServer};
 use crate::sweep::parallel_map;
@@ -131,12 +132,11 @@ pub struct FleetConfig {
     pub migration_delay_secs: f64,
     /// Hedged execution for stragglers; `None` disables hedging.
     pub hedge: Option<HedgeConfig>,
-    /// Optional global-timeline honesty features for the per-device
-    /// scheduler (retroactive contention pricing, token-granularity
-    /// decode joins — see [`crate::TimelineConfig`]). `None` keeps the
-    /// plain event-driven scheduler, bit-identical to the pre-timeline
-    /// fleet.
-    pub timeline: Option<TimelineTuning>,
+    /// Global-timeline honesty features for the per-device kernel
+    /// (retroactive contention pricing, token-granularity decode joins
+    /// — see [`crate::TimelineConfig`]). Defaults to
+    /// [`TimelineTuning::anchored`].
+    pub timeline: TimelineTuning,
 }
 
 impl FleetConfig {
@@ -149,7 +149,7 @@ impl FleetConfig {
             failover: true,
             migration_delay_secs: 2.0,
             hedge: None,
-            timeline: None,
+            timeline: TimelineTuning::anchored(),
         }
     }
 
@@ -159,10 +159,9 @@ impl FleetConfig {
         self
     }
 
-    /// Run every device on the global-timeline scheduler with the given
-    /// honesty tuning.
+    /// Run every device's kernel with the given honesty tuning.
     pub fn with_timeline(mut self, tuning: TimelineTuning) -> Self {
-        self.timeline = Some(tuning);
+        self.timeline = tuning;
         self
     }
 
@@ -349,8 +348,8 @@ impl FleetRun {
     }
 }
 
-/// Serves one arrival stream across N per-device [`EventServerSim`]
-/// timelines behind a router. See the module docs for the execution
+/// Serves one arrival stream across N per-device kernel timelines
+/// behind a router. See the module docs for the execution
 /// and determinism model.
 #[derive(Debug, Clone)]
 pub struct FleetSim {
@@ -471,9 +470,8 @@ impl FleetSim {
     }
 }
 
-/// Run one device's arrival sub-stream under the fleet's scheduler:
-/// the plain event loop by default, or the global device timeline when
-/// [`FleetConfig::with_timeline`] opted in.
+/// Run one device's arrival sub-stream on the scheduler kernel under
+/// the fleet's event policy and timeline tuning.
 fn device_run(
     sim: &FleetSim,
     d: usize,
@@ -481,17 +479,13 @@ fn device_run(
     plan: &FaultPlan,
     directives: &RunDirectives,
 ) -> Result<BatchRun, EngineError> {
-    match sim.config.timeline {
-        Some(tuning) => TimelineServerSim::new(
-            sim.devices[d].clone(),
-            sim.n,
-            sim.kind,
-            tuning.config(sim.config.event),
-        )
-        .run_directed(sub, plan, directives),
-        None => EventServerSim::new(sim.devices[d].clone(), sim.n, sim.kind, sim.config.event)
-            .run_directed(sub, plan, directives),
-    }
+    TimelineServerSim::new(
+        sim.devices[d].clone(),
+        sim.n,
+        sim.kind,
+        sim.config.timeline.config(sim.config.event),
+    )
+    .run_directed(sub, plan, directives)
 }
 
 /// The sequential decision loop's working state.
@@ -1084,6 +1078,11 @@ mod tests {
             .with_hedge(HedgeConfig::default());
         assert!(cfg.failover);
         assert!(cfg.hedge.is_some());
+        assert_eq!(
+            cfg.timeline,
+            TimelineTuning::anchored(),
+            "anchored by default"
+        );
         let naive = cfg.without_failover();
         assert!(!naive.failover);
     }

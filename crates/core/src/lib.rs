@@ -24,26 +24,34 @@
 //! every optimization on; `TtsServer::vllm_baseline(...)` reproduces the
 //! paper's baseline (two statically-sized vLLM instances, FIFO
 //! scheduling, no speculation). [`AblationFlags`] selects any subset for
-//! the Fig. 16/18 breakdowns. [`ServerSim`] replays request arrival
-//! streams with two-phase preemptive scheduling (Sec. 4.1.2), and
-//! [`BatchedServerSim`] scales that to *continuous batching across
-//! requests*: mid-flight admission, co-batched decode, equal-share KV
-//! pool reservations and vLLM-style preemption — see `batch_server`'s
-//! module docs for the execution model and its batch-1 lockstep
-//! equivalence guarantee. [`EventServerSim`] goes one step further and
-//! drops the lockstep round barrier entirely: *event-driven scheduling
-//! at iteration granularity*, where requests advance at their own
-//! cadence and co-batch opportunistically inside a configurable window
-//! ([`EventConfig::window_secs`]) — with batch-1 and infinite-window
-//! modes that reproduce [`ServerSim`] and [`BatchedServerSim`]
-//! bit-for-bit as correctness anchors (see `event_server`'s module
-//! docs). [`TimelineServerSim`] makes that event loop *honest*: every
-//! kernel launch lands as a costed segment on a global per-device
-//! timeline ([`DeviceTimeline`]), cross-launch decode overlap is priced
-//! retroactively, and arrivals can join the in-flight decode batch at
-//! token-chunk boundaries ([`TimelineConfig`]) — with an anchored mode
-//! that reproduces [`EventServerSim`] bit-for-bit (see `timeline`'s
-//! module docs).
+//! the Fig. 16/18 breakdowns.
+//!
+//! # Serving request streams
+//!
+//! [`ServerSim`] replays an arrival stream FIFO at batch size 1 with
+//! two-phase preemptive speculation (Sec. 4.1.2); it is the independent
+//! serial reference. [`TimelineServerSim`] is the scheduler kernel: one
+//! loop that serves a stream over one shared accelerator and KV pool,
+//! recording every kernel launch on a global [`DeviceTimeline`]. Its
+//! modes are configuration, not types:
+//!
+//! * the request policy, [`BatchConfig`]: `fifo` (batch 1,
+//!   bit-identical to [`ServerSim`]), `gang`, `continuous` and `fused`
+//!   (mid-flight admission, cross-request fused verifier sweeps,
+//!   demand-proportional KV shares, vLLM-style preemption), plus the
+//!   fault/SLO ([`RobustConfig`]), host-tier ([`KvTierConfig`]) and
+//!   tenant ([`TenantPolicy`]) policies;
+//! * the co-batch window, [`EventConfig`]: `lockstep` (infinite window:
+//!   lockstep rounds with a barrier) or a finite window (event-driven,
+//!   iteration-granularity scheduling);
+//! * the honesty features, [`TimelineConfig`]: `anchored` (the timeline
+//!   only observes), `honest` (retroactive contention pricing) and token
+//!   joins (arrivals join the running decode batch at chunk
+//!   boundaries).
+//!
+//! See `timeline`'s module docs for the execution model and its
+//! equivalence anchors. [`FleetSim`] runs one kernel per device behind a
+//! router with crash failover and hedging.
 //!
 //! For evaluation at scale, the `sweep` module provides a parallel
 //! harness: [`ServerSim::run_parallel`] replays independent request
@@ -84,9 +92,9 @@ mod sweep;
 mod tenant;
 mod timeline;
 
-pub use batch_server::{BatchConfig, BatchRun, BatchedServerSim};
+pub use batch_server::{BatchConfig, BatchRun};
 pub use eval::{evaluate, EvalConfig, EvalSummary};
-pub use event_server::{EventConfig, EventServerSim, PrewarmPrefix, RunDirectives};
+pub use event_server::{EventConfig, PrewarmPrefix, RunDirectives};
 pub use faults::{
     degraded_beams, FaultEvent, FaultKind, FaultPlan, FaultPolicy, RobustConfig, StormConfig,
 };

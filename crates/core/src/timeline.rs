@@ -1,29 +1,99 @@
-//! Global per-device kernel timeline with token-granularity decode
-//! joins — honest window=0 scheduling.
+//! The scheduler kernel: every request-scheduling mode in one loop,
+//! [`TimelineServerSim::run_directed`], over a global per-device kernel
+//! timeline.
 //!
-//! [`EventServerSim`](crate::EventServerSim) schedules at *iteration*
-//! granularity and prices each launch's decode against a snapshot of
-//! the in-flight set taken at the launch instant. Two approximations
-//! follow from that snapshot:
+//! [`ServerSim`](crate::ServerSim) drains arrivals FIFO at batch size 1
+//! and stays the independent serial reference. Everything else the
+//! crate schedules — gang and continuous batching, lockstep rounds,
+//! event-driven windows, contention pricing and token joins — is this
+//! loop under a [`TimelineConfig`]: an [`EventConfig`] (a
+//! [`BatchConfig`](crate::BatchConfig) request policy plus a co-batch
+//! window) and two honesty features.
 //!
-//! * **Free overlap.** A launch that starts while earlier iterations
-//!   are still in flight counts *their* load in its own co-batch
-//!   price, but the earlier iterations were priced before this launch
-//!   existed and are never re-priced — overlapping a busy device is
-//!   free for the requests already on it. Under a small window this
-//!   makes window=0 look nearly as good as an oracle: every launch
-//!   claims the amortization benefit of the overlap and nobody pays
-//!   the contention cost.
-//! * **Launch-boundary joins.** An arrival during a long co-batched
-//!   generation phase waits for the *whole* phase to finish before it
-//!   can join the decode batch, even though real continuous batching
-//!   (vLLM) admits at token granularity.
+//! # Modes
 //!
-//! [`TimelineServerSim`] removes both. It keeps the event scheduler's
-//! structure — the same ready queue, window partition, admission,
-//! shares, preemption and fault plumbing — and adds a global
-//! [`DeviceTimeline`] all kernel launches land on as costed
-//! [`Segment`]s:
+//! * **fifo** ([`BatchConfig::fifo`](crate::BatchConfig::fifo)): batch
+//!   1, no mid-flight admission. Groups are singletons under any
+//!   window, so the run reproduces `ServerSim::run` bit for bit.
+//! * **gang** ([`BatchConfig::gang`](crate::BatchConfig::gang)): admit
+//!   up to `max_batch` only while the device is idle, then run the gang
+//!   to completion.
+//! * **continuous / fused**
+//!   ([`BatchConfig::continuous`](crate::BatchConfig::continuous),
+//!   [`BatchConfig::fused`](crate::BatchConfig::fused)): mid-flight
+//!   admission, optionally with one fused verifier sweep per launch and
+//!   demand-proportional KV shares.
+//! * **lockstep** ([`EventConfig::lockstep`]): an infinite window.
+//!   Every launch waits for the whole in-flight set, the launch instant
+//!   is the round barrier (the wait books as `barrier_idle`), and the
+//!   device floor advances to each round's end, so finished members
+//!   hold the barrier as they would in a lockstep round.
+//! * **windowed** ([`EventConfig::new`], [`EventConfig::windowed`]):
+//!   iteration-granularity scheduling. Each request carries its own
+//!   ready time; a launch groups every request ready within
+//!   `window_secs` of the earliest event and the rest advance at their
+//!   own cadence. Waits inside the window are plain `idle`, never
+//!   `barrier_idle`.
+//! * **anchored** ([`TimelineConfig::anchored`]): both honesty features
+//!   off. The timeline records segments purely as an observer and never
+//!   feeds back into scheduling.
+//! * **honest** ([`TimelineConfig::honest`]): retroactive contention
+//!   pricing on.
+//! * **token joins** ([`TimelineConfig::with_token_joins`]):
+//!   generation runs in chunks and arrivals join the running decode
+//!   batch at chunk boundaries.
+//!
+//! # Execution model
+//!
+//! * **A ready queue instead of rounds.** Each in-flight request's next
+//!   event is `started_at + RequestRun::next_event_at()`. The loop
+//!   serves the earliest event: the earliest-ready request, or a pending
+//!   arrival when mid-flight admission could open a fresh co-batch.
+//! * **One iteration per launch, four phases.** A launch runs one TTS
+//!   iteration for each group member through `RequestRun`'s split-phase
+//!   API: **plan** (memory replan plus the decode, priced over the
+//!   *whole* in-flight set's sequences — requests outside the launch are
+//!   mid-iteration and share the weight sweep), **gather** (every
+//!   member's pending verifier chunks), **cost** (the shared
+//!   accelerator's verifier sweeps) and **commit** (charge the sweeps,
+//!   reveal scores, branch). The split-phase protocol is re-entrant per
+//!   run, so launches may interleave with other requests' iterations.
+//! * **Cross-request verifier co-batching.** Without
+//!   [`BatchConfig::fused_verify`](crate::BatchConfig::fused_verify) the
+//!   members' prefill sweeps are distinct kernels that serialize in
+//!   admission order; later members wait their turn as `idle`. With it,
+//!   every member's wave-`w` chunks launch as one fused sweep
+//!   (`Roofline::prefill_fused`) and each participant books its own
+//!   slice as `verifier` time and the wait for earlier sub-batches as
+//!   `idle`, so busy time is never double-counted.
+//! * **Admission control and elastic shares.** The device KV budget is
+//!   split through one [`PoolBudget`] ledger across the whole in-flight
+//!   set: equal shares, or demand-proportional shares
+//!   ([`BatchConfig::demand_shares`](crate::BatchConfig::demand_shares))
+//!   rebalanced at admission, completion, preemption and demand-drift
+//!   boundaries. Reservations never exceed the pool.
+//! * **Preemption.** A group member whose KV demand outgrows its share
+//!   is swapped out youngest-first (vLLM's victim rule, PCIe-costed),
+//!   its reservation released, and requeued; it readmits when shares
+//!   regrow. Accepted tokens are never lost. A lone request is never
+//!   preempted.
+//! * **First Finish cut (opt-in).** With
+//!   [`BatchConfig::first_finish`](crate::BatchConfig::first_finish) a
+//!   request whose best verified beam clears the bar completes at once.
+//! * **Two-phase speculation** (the paper's Sec. 4.1.2 rule, lifted to
+//!   requests). Speculative Beam Extension runs only while a request
+//!   has the system to itself — no other active, queued or preempted
+//!   request — and only until the next known arrival.
+//! * **Faults, SLOs and directives at launch boundaries.** Directed
+//!   prefix prewarms and cancels ([`RunDirectives`]), deadline sweeps
+//!   and shedding apply before admission at each launch; injected
+//!   faults ([`FaultPlan`]) are popped once per launch, in time order.
+//!
+//! # Honesty features
+//!
+//! Iteration-granularity scheduling prices each launch's decode
+//! against the in-flight set at the launch instant, which leaves two
+//! approximations. The timeline removes both:
 //!
 //! * **Retroactive contention** ([`TimelineConfig::contention`]): when
 //!   a launch admits *new* device load (fresh arrivals or readmitted
@@ -31,8 +101,8 @@
 //!   marginal co-batch slowdown over its remaining seconds
 //!   ([`ftts_engine::RequestRun::contention_stretch`]), and the
 //!   iteration's segment already on the timeline is stretched with it.
-//!   Overlap now has a price, so window=0 versus infinite-window is an
-//!   honest trade instead of a free lunch.
+//!   Without it, overlapping a busy device is free for the requests
+//!   already on it, and window 0 looks nearly as good as an oracle.
 //! * **Token-granularity joins** ([`TimelineConfig::token_joins`]):
 //!   the generation phase runs as chunked sub-iterations
 //!   ([`ftts_engine::RequestRun::plan_decode_chunk`] /
@@ -41,27 +111,36 @@
 //!   synchronize at each chunk boundary (the wait books to the
 //!   `join_wait` latency slice), arrivals due by the boundary admit
 //!   *into the running launch* there, and the co-batch totals are
-//!   re-derived every chunk — members that finish generation early
-//!   stop taxing the survivors.
+//!   re-derived every chunk. Without it, an arrival during a long
+//!   generation phase waits for the whole phase.
 //!
-//! # Equivalence anchor
+//! # Time model
 //!
-//! [`TimelineConfig::anchored`] disables both honesty features; the
-//! run is then bit-identical to [`EventServerSim`] under the same
-//! [`EventConfig`] (fault-free, faulted and directed), with the
-//! timeline recording segments purely as an observer. Enforced in
-//! `crates/core/tests/event_sched.rs`.
+//! Launches are processed in non-decreasing order: a device `floor`,
+//! raised by preemption transfers, drained-device completions and (in
+//! lockstep mode) round ends, enforces it. KV reservations release at
+//! the commit of a request's final iteration, which can precede its
+//! finish instant by at most that iteration. The ledger is never
+//! overcommitted.
 //!
 //! # Granularity limits
 //!
 //! Faults, SLO sweeps, directed cancels and elastic share rebalances
-//! stay at *launch* granularity even in token-join mode: they apply at
-//! the pre-launch boundary exactly like the event scheduler (mid-launch
+//! stay at *launch* granularity even in token-join mode (mid-launch
 //! admission may still shrink shares through the shared admission
 //! probe). One iteration per member per launch is preserved — chunking
 //! splits the iteration's decode phase, not the TTS loop.
+//!
+//! # Anchors
+//!
+//! Batch 1 is checked live against `ServerSim::run` in
+//! `crates/core/tests/batch_lockstep.rs` and `event_sched.rs`. The
+//! lockstep and windowed modes are pinned to fingerprints frozen from
+//! the separate lockstep and event-driven loops this kernel replaced
+//! (`crates/core/tests/golden/`), and random fifo traces are checked
+//! against `ServerSim` in `crates/core/tests/batch_properties.rs`.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use ftts_engine::{DecodeStatus, EngineError, RunPhase, StepStatus, VerifyCharge, VerifyChunk};
 use ftts_kv::{HostTier, PoolBudget};
@@ -221,9 +300,9 @@ pub struct TimelineConfig {
 }
 
 impl TimelineConfig {
-    /// The equivalence-anchor mode: both honesty features off. The run
-    /// is bit-identical to [`EventServerSim`](crate::EventServerSim)
-    /// under `event`; the timeline only observes.
+    /// Both honesty features off: iteration-granularity scheduling of
+    /// `event`, with the timeline recording segments only as an
+    /// observer.
     pub fn anchored(event: EventConfig) -> Self {
         Self {
             event,
@@ -273,8 +352,7 @@ pub struct TimelineTuning {
 
 impl TimelineTuning {
     /// Pure bookkeeping: record segments, price nothing, join at launch
-    /// boundaries — per-device runs stay bit-identical to the plain
-    /// event-driven fleet.
+    /// boundaries (see [`TimelineConfig::anchored`]). The fleet default.
     pub fn anchored() -> Self {
         Self {
             contention: false,
@@ -316,12 +394,10 @@ impl TimelineTuning {
     }
 }
 
-/// Replays a request arrival stream with event-driven continuous
-/// batching over a global per-device kernel timeline: every launch is
-/// a costed segment on one clock, cross-launch decode overlap is
-/// priced retroactively, and (optionally) arrivals join the in-flight
-/// decode batch at token-chunk boundaries. See the module docs for the
-/// execution model and the equivalence anchor.
+/// The scheduler kernel: replays a request arrival stream over one
+/// shared accelerator and KV pool, every launch landing as a costed
+/// segment on a global device timeline. See the module docs for the
+/// modes and the execution model.
 #[derive(Debug, Clone)]
 pub struct TimelineServerSim {
     server: TtsServer,
@@ -370,10 +446,9 @@ impl TimelineServerSim {
     }
 
     /// Serve the arrival stream to completion while `plan` injects
-    /// faults into the simulated device. Faults apply at launch
-    /// granularity (the same boundaries the event scheduler uses), so
-    /// the anchored mode consumes the plan bit-identically to
-    /// [`EventServerSim::run_faulted`](crate::EventServerSim::run_faulted).
+    /// faults into the simulated device, at launch granularity. The
+    /// empty plan reproduces [`TimelineServerSim::run`] bit for bit;
+    /// any plan is itself deterministic.
     ///
     /// # Errors
     ///
@@ -388,9 +463,10 @@ impl TimelineServerSim {
     }
 
     /// Serve the arrival stream under `plan` while `directives` steer
-    /// the timeline from outside (directed cancels, prefix prewarms) —
-    /// the same interface [`EventServerSim::run_directed`]
-    /// (crate::EventServerSim::run_directed) exposes to the fleet.
+    /// the timeline from outside: directed cancellations (crash
+    /// failover, hedge losers) and mid-run host-tier prefix handoffs.
+    /// Empty directives reproduce [`TimelineServerSim::run_faulted`]
+    /// bit for bit — the fleet's 1-device pass-through anchor.
     ///
     /// # Errors
     ///
@@ -420,7 +496,11 @@ impl TimelineServerSim {
             }
         }
         let mut tier = HostTier::new(batch.tier);
+        // Earliest instant the next launch may happen: raised by
+        // preemption PCIe transfers, by completions that drain the
+        // device, and (in lockstep mode) by every launch's round end.
         let mut floor = 0.0f64;
+        // Latest completion instant seen — the device-drained floor.
         let mut finish_max = 0.0f64;
         let mut next_arrival = 0usize;
         let mut waiting: VecDeque<usize> = VecDeque::new();
@@ -443,6 +523,8 @@ impl TimelineServerSim {
         let mut cancelled = 0u32;
         let mut degradations = 0u32;
         let mut tier_dropped = 0u64;
+        // Directed cancels: earliest instant per arrival index (∞ =
+        // never), applied at launch boundaries like deadline sweeps.
         let has_cancels = !directives.cancels.is_empty();
         let mut cancel_at = vec![f64::INFINITY; arrivals.len()];
         for &(idx, t) in &directives.cancels {
@@ -452,13 +534,14 @@ impl TimelineServerSim {
         let mut prewarms = directives.prewarms.clone();
         prewarms.sort_by(|a, b| a.at.partial_cmp(&b.at).expect("finite prewarm times"));
         let mut prewarm_next = 0usize;
-        // The global device timeline, plus each in-flight request's
-        // latest decode segment (the stretch target when a later launch
-        // overlaps its iteration).
+        // The global device timeline; each in-flight request carries
+        // its latest decode segment (`InFlight::last_seg`), the stretch
+        // target when a later launch overlaps its iteration.
         let mut timeline = DeviceTimeline::default();
-        let mut last_seg: HashMap<usize, usize> = HashMap::new();
 
         loop {
+            // Next decision instant: the earliest ready request, or the
+            // next arrival.
             let next_ready = active
                 .iter()
                 .map(InFlight::ready_at)
@@ -475,6 +558,10 @@ impl TimelineServerSim {
                 }
             }
 
+            // Anchor: the earliest instant a new co-batch can launch. A
+            // pending arrival anchors its own launch only when mid-flight
+            // admission could take it; otherwise it is ingested when the
+            // next ready-driven launch forms.
             let arrival_anchor = next_arr.max(floor);
             let consider_arrival = batch.admit_mid_flight
                 && active.len() < batch.max_batch
@@ -487,6 +574,9 @@ impl TimelineServerSim {
                 next_ready
             };
 
+            // Group: every in-flight request ready inside the window. The
+            // partition is stable, so the group keeps admission order
+            // (the order shares resize and unfused sweeps serialize in).
             let horizon = anchor + window;
             let mut group: Vec<InFlight> = Vec::new();
             let mut rest: Vec<InFlight> = Vec::new();
@@ -498,6 +588,9 @@ impl TimelineServerSim {
                 }
             }
 
+            // Launch at the latest member's ready time, never before the
+            // floor. Earlier members wait the gap: a window wait (plain
+            // idle), or in lockstep mode the round barrier.
             let mut launch = group
                 .iter()
                 .map(InFlight::ready_at)
@@ -557,13 +650,9 @@ impl TimelineServerSim {
             );
             shed += sweep.shed;
             cancelled += sweep.cancelled;
-            // Snapshot the in-flight set so newly admitted device load
-            // is identifiable for retroactive contention pricing.
-            let pre_inflight: Vec<usize> = if self.config.contention {
-                group.iter().chain(rest.iter()).map(|a| a.idx).collect()
-            } else {
-                Vec::new()
-            };
+            // Admission only appends to the group, so `group[before..]`
+            // is the device load this launch adds.
+            let before = group.len();
             let report = admission::admit(
                 &ctx,
                 &mut group,
@@ -580,30 +669,11 @@ impl TimelineServerSim {
             if report.admitted && admission::elastic(batch) {
                 admission::rebalance_elastic(batch, &mut group, &mut rest, &mut pool);
             }
-            // Retroactive contention: the load this launch adds slows
-            // every iteration still in flight outside the launch. Each
-            // bystander's remaining time stretches by the marginal
-            // co-batch slowdown, and its decode segment already on the
-            // timeline stretches with it. (With an infinite window the
-            // rest is always empty — the lockstep anchor needs no
-            // special case.)
+            // Retroactive contention on the bystanders this launch
+            // overlaps. (With an infinite window the rest is always
+            // empty — lockstep mode needs no special case.)
             if self.config.contention && report.admitted {
-                let (new_seqs, new_ctx) = group
-                    .iter()
-                    .filter(|a| !pre_inflight.contains(&a.idx))
-                    .map(|a| a.run.decode_load())
-                    .fold((0usize, 0u64), |(s, c), (ls, lc)| (s + ls, c + lc));
-                if new_seqs > 0 {
-                    for a in rest.iter_mut() {
-                        let remaining = (a.ready_at() - launch).max(0.0);
-                        let extra = a.run.contention_stretch(new_seqs, new_ctx, remaining);
-                        if extra > 0.0 {
-                            if let Some(&sid) = last_seg.get(&a.idx) {
-                                timeline.stretch(sid, extra);
-                            }
-                        }
-                    }
-                }
+                stretch_bystanders(&group[before..], &mut rest, launch, &mut timeline);
             }
 
             if group.is_empty() && rest.is_empty() {
@@ -619,6 +689,11 @@ impl TimelineServerSim {
                 continue;
             }
 
+            // Memory-pressure preemption over the launching group: a
+            // member that cannot progress at its share, or whose working
+            // set would thrash it, is swapped out youngest-first. With a
+            // host tier the swap-down is capped at the tier's free bytes
+            // and the overflow is dropped (recomputed on readmission).
             while group.len() + rest.len() > 1 {
                 let victim = group
                     .iter()
@@ -649,6 +724,8 @@ impl TimelineServerSim {
                 paused.push_back(v);
                 admission::reshare(batch, &mut group, &mut rest, &mut pool);
             }
+            // The launch (with any preemption PCIe time) is committed
+            // device time: later launches never precede it.
             floor = floor.max(launch);
             if group.is_empty() {
                 active = rest;
@@ -666,8 +743,10 @@ impl TimelineServerSim {
             // Phase 1 — plan: memory replan plus the co-batched decode,
             // recorded on the device timeline. Token-join mode runs it
             // as chunked sub-iterations with mid-launch admission at
-            // chunk boundaries; otherwise it is the event scheduler's
-            // monolithic per-member generation phase, verbatim.
+            // chunk boundaries; otherwise each member runs its whole
+            // generation phase. Decode is priced over the whole
+            // in-flight set: requests outside the launch are
+            // mid-iteration and share the weight sweep.
             let mut planned: Vec<bool>;
             if self.config.token_joins {
                 planned = vec![true; group.len()];
@@ -749,7 +828,7 @@ impl TimelineServerSim {
                                 SegmentKind::Decode,
                                 a.run.decode_load().0,
                             );
-                            last_seg.insert(a.idx, id);
+                            a.last_seg = Some(id);
                         }
                         if status == DecodeStatus::Generated {
                             gen_done[i] = true;
@@ -792,20 +871,12 @@ impl TimelineServerSim {
                                 planned.push(true);
                             }
                             if self.config.contention {
-                                let (new_seqs, new_ctx) = group[before..]
-                                    .iter()
-                                    .map(|a| a.run.decode_load())
-                                    .fold((0usize, 0u64), |(s, c), (ls, lc)| (s + ls, c + lc));
-                                for a in rest.iter_mut() {
-                                    let remaining = (a.ready_at() - boundary).max(0.0);
-                                    let extra =
-                                        a.run.contention_stretch(new_seqs, new_ctx, remaining);
-                                    if extra > 0.0 {
-                                        if let Some(&sid) = last_seg.get(&a.idx) {
-                                            timeline.stretch(sid, extra);
-                                        }
-                                    }
-                                }
+                                stretch_bystanders(
+                                    &group[before..],
+                                    &mut rest,
+                                    boundary,
+                                    &mut timeline,
+                                );
                             }
                         }
                     }
@@ -840,7 +911,7 @@ impl TimelineServerSim {
                             SegmentKind::Decode,
                             a.run.decode_load().0,
                         );
-                        last_seg.insert(a.idx, id);
+                        a.last_seg = Some(id);
                     }
                 }
             }
@@ -900,6 +971,11 @@ impl TimelineServerSim {
                 }
             }
 
+            // Injected faults due this launch. Kernel faults and throttle
+            // windows hit the group's kernels, booked to the `fault`
+            // bucket in proportion to each member's busy seconds; device
+            // KV loss hits every device-resident request, bystanders
+            // included. Swapped-out requests survive in host RAM.
             let faults = LaunchFaults::at(&mut cursor, plan, &batch.robust, launch);
             if faults.fired() {
                 kernel_faults += faults.kernel_faults;
@@ -930,14 +1006,17 @@ impl TimelineServerSim {
                     .map(|a| a.started_at + a.run.clock())
                     .fold(launch, f64::max);
             }
+            // In lockstep mode the round end is the barrier: nothing,
+            // not even the next admission, happens before it.
             if lockstep {
                 floor = floor.max(round_end);
             }
 
+            // Completions leave at their own finish instant and offer
+            // their prompt prefix to the host tier's shared store.
             for &i in finished.iter().rev() {
                 let a = group.remove(i);
                 pool.release(a.idx as u64);
-                last_seg.remove(&a.idx);
                 let prompt_tokens = arrivals[a.idx].problem.prompt_tokens;
                 tier.publish_prefix(
                     arrivals[a.idx].problem.seed,
@@ -970,6 +1049,7 @@ impl TimelineServerSim {
                 }
             }
 
+            // Survivors rejoin the in-flight set in admission order.
             rest.append(&mut group);
             active = rest;
             active.sort_by_key(|a| a.admit_seq);
@@ -1008,6 +1088,29 @@ impl TimelineServerSim {
                 .collect(),
             timeline: timeline.occupancy(),
         })
+    }
+}
+
+/// Retroactive contention: the load `joined` adds to the device slows
+/// every iteration still in flight outside the launch. Each bystander's
+/// remaining time past `at` stretches by the marginal co-batch slowdown,
+/// and its latest decode segment on the timeline stretches with it.
+fn stretch_bystanders(
+    joined: &[InFlight],
+    rest: &mut [InFlight],
+    at: f64,
+    timeline: &mut DeviceTimeline,
+) {
+    let (new_seqs, new_ctx) = joined
+        .iter()
+        .map(|a| a.run.decode_load())
+        .fold((0usize, 0u64), |(s, c), (ls, lc)| (s + ls, c + lc));
+    for a in rest {
+        let remaining = (a.ready_at() - at).max(0.0);
+        let extra = a.run.contention_stretch(new_seqs, new_ctx, remaining);
+        if let (true, Some(sid)) = (extra > 0.0, a.last_seg) {
+            timeline.stretch(sid, extra);
+        }
     }
 }
 

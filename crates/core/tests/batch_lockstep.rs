@@ -1,11 +1,15 @@
-//! Lockstep equivalence: `BatchedServerSim` with `max_batch = 1` and
-//! mid-flight admission disabled must reproduce `ServerSim::run`
-//! bit-identically — outcomes, latencies and eviction stats — over the
-//! existing arrival fixtures. This pins the continuous-batching
-//! scheduler to the known-good FIFO path before any batching is turned
-//! on.
+//! Lockstep equivalence: the scheduler kernel in lockstep mode
+//! (`EventConfig::lockstep`) with `max_batch = 1` and mid-flight
+//! admission disabled must reproduce `ServerSim::run` bit-identically —
+//! outcomes, latencies and eviction stats — over the existing arrival
+//! fixtures. This pins the kernel to the independent FIFO path before
+//! any batching is turned on.
 
-use ftts_core::{BatchConfig, BatchedServerSim, ServedRequest, ServerSim, TtsServer};
+mod golden;
+
+use ftts_core::{
+    BatchConfig, BatchRun, EventConfig, ServerSim, TimelineConfig, TimelineServerSim, TtsServer,
+};
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
 use ftts_search::SearchKind;
@@ -17,46 +21,33 @@ fn server(seed: u64) -> TtsServer {
     s
 }
 
-fn assert_bit_identical(fifo: &[ServedRequest], batched: &[ServedRequest]) {
-    assert_eq!(fifo.len(), batched.len());
-    for (f, b) in fifo.iter().zip(batched) {
-        assert_eq!(f.arrived_at, b.arrived_at);
-        assert_eq!(f.started_at, b.started_at, "admission instants must match");
-        assert_eq!(
-            f.finished_at, b.finished_at,
-            "completion instants must match"
-        );
-        assert_eq!(b.preemptions, 0, "batch-1 FIFO never preempts");
-        assert_eq!(b.preempted_secs, 0.0);
-        let (fs, bs) = (&f.outcome.stats, &b.outcome.stats);
-        assert_eq!(f.outcome.answer, b.outcome.answer);
-        assert_eq!(fs.completion.latency, bs.completion.latency);
-        assert_eq!(fs.completion.breakdown, bs.completion.breakdown);
-        assert_eq!(fs.iterations, bs.iterations);
-        assert_eq!(fs.decoded_tokens, bs.decoded_tokens);
-        assert_eq!(fs.verified_tokens, bs.verified_tokens);
-        assert_eq!(fs.spec, bs.spec, "speculation counters must match");
-        assert_eq!(fs.gen_cache, bs.gen_cache, "gen eviction stats must match");
-        assert_eq!(fs.ver_cache, bs.ver_cache, "ver eviction stats must match");
-        assert_eq!(fs.beams.len(), bs.beams.len());
-        for (x, y) in fs.beams.iter().zip(&bs.beams) {
-            assert_eq!(x.tokens, y.tokens);
-            assert_eq!(x.completion_time, y.completion_time);
-            assert_eq!(x.answer, y.answer);
-            assert_eq!(x.score, y.score);
-        }
-    }
+fn lockstep(
+    server: TtsServer,
+    n: usize,
+    config: BatchConfig,
+    arrivals: &[RequestArrival],
+) -> BatchRun {
+    TimelineServerSim::new(
+        server,
+        n,
+        SearchKind::BeamSearch,
+        TimelineConfig::anchored(EventConfig::lockstep(config)),
+    )
+    .run(arrivals)
+    .expect("batched run")
 }
 
 fn check_pattern_with(seed: u64, arrivals: &[RequestArrival], n: usize, config: BatchConfig) {
     let fifo = ServerSim::new(server(seed), n, SearchKind::BeamSearch)
         .run(arrivals)
         .expect("fifo run");
-    let batched = BatchedServerSim::new(server(seed), n, SearchKind::BeamSearch, config)
-        .run(arrivals)
-        .expect("batched run");
-    assert_bit_identical(&fifo, &batched.served);
-    assert_eq!(batched.preemptions, 0);
+    let batched = lockstep(server(seed), n, config, arrivals);
+    assert_eq!(
+        golden::served_fingerprint(&fifo),
+        golden::served_fingerprint(&batched.served),
+        "batch-1 lockstep must reproduce ServerSim bit for bit"
+    );
+    assert_eq!(batched.preemptions, 0, "batch-1 FIFO never preempts");
     assert!(batched.peak_reserved_bytes <= batched.pool_bytes);
 }
 
@@ -124,8 +115,9 @@ fn lockstep_holds_for_baseline_server_too() {
     let fifo = ServerSim::new(base.clone(), 8, SearchKind::BeamSearch)
         .run(&arrivals)
         .expect("fifo");
-    let batched = BatchedServerSim::new(base, 8, SearchKind::BeamSearch, BatchConfig::fifo())
-        .run(&arrivals)
-        .expect("batched");
-    assert_bit_identical(&fifo, &batched.served);
+    let batched = lockstep(base, 8, BatchConfig::fifo(), &arrivals);
+    assert_eq!(
+        golden::served_fingerprint(&fifo),
+        golden::served_fingerprint(&batched.served)
+    );
 }

@@ -1,5 +1,5 @@
-//! Scheduler invariants of `BatchedServerSim` under randomized
-//! arrivals, batch caps and pool sizes:
+//! Scheduler-kernel invariants under randomized arrivals, batch caps
+//! and pool sizes:
 //!
 //! 1. KV reservations never exceed the pool budget (the `PoolBudget`
 //!    ledger's high-water mark stays within the device budget).
@@ -10,8 +10,16 @@
 //!    *outcomes* — answers and accepted tokens match the FIFO replay of
 //!    the same stream, because batching may only move clocks and
 //!    memory traffic.
+//! 4. At batch 1 (`BatchConfig::fifo`) the kernel reproduces the
+//!    independent serial reference, `ServerSim::run`, bit for bit over
+//!    random Uniform and Poisson traces — at window 0, at a finite
+//!    window and in lockstep mode.
 
-use ftts_core::{BatchConfig, BatchedServerSim, ServerSim, TtsServer};
+mod golden;
+
+use ftts_core::{
+    BatchConfig, EventConfig, ServerSim, TimelineConfig, TimelineServerSim, TtsServer,
+};
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
 use ftts_search::SearchKind;
@@ -23,6 +31,16 @@ fn server(seed: u64, memory_fraction: f64) -> TtsServer {
     s.config_mut().seed = seed;
     s.config_mut().memory_fraction = memory_fraction;
     s
+}
+
+/// The scheduler kernel in lockstep mode (an infinite co-batch window).
+fn lockstep(server: TtsServer, n: usize, config: BatchConfig) -> TimelineServerSim {
+    TimelineServerSim::new(
+        server,
+        n,
+        SearchKind::BeamSearch,
+        TimelineConfig::anchored(EventConfig::lockstep(config)),
+    )
 }
 
 proptest! {
@@ -39,12 +57,7 @@ proptest! {
     ) {
         let problems = Dataset::Amc2023.problems(count, seed);
         let arrivals = ArrivalPattern::Uniform { interval }.schedule(&problems, seed);
-        let batched = BatchedServerSim::new(
-            server(seed, fraction),
-            n,
-            SearchKind::BeamSearch,
-            BatchConfig::continuous(max_batch),
-        )
+        let batched = lockstep(server(seed, fraction), n, BatchConfig::continuous(max_batch))
         .run(&arrivals)
         .expect("batched run completes");
 
@@ -77,6 +90,42 @@ proptest! {
                 b.outcome.stats.beams.len(),
                 f.outcome.stats.beams.len()
             );
+        }
+    }
+
+    #[test]
+    fn fifo_kernel_matches_serversim_in_every_window(
+        count in 2usize..5,
+        poisson in prop::sample::select(vec![false, true]),
+        spacing in prop::sample::select(vec![0.5f64, 2.0, 20.0]),
+        fraction in prop::sample::select(vec![0.33f64, 0.5, 0.9]),
+        seed in 0u64..1000,
+    ) {
+        let problems = Dataset::Amc2023.problems(count, seed);
+        let pattern = if poisson {
+            ArrivalPattern::Poisson { rate: 1.0 / spacing }
+        } else {
+            ArrivalPattern::Uniform { interval: spacing }
+        };
+        let arrivals = pattern.schedule(&problems, seed);
+        let fifo = ServerSim::new(server(seed, fraction), 8, SearchKind::BeamSearch)
+            .run(&arrivals)
+            .expect("fifo run completes");
+        let want = golden::served_fingerprint(&fifo);
+        for event in [
+            EventConfig::new(BatchConfig::fifo(), 0.0),
+            EventConfig::new(BatchConfig::fifo(), 0.5),
+            EventConfig::lockstep(BatchConfig::fifo()),
+        ] {
+            let run = TimelineServerSim::new(
+                server(seed, fraction),
+                8,
+                SearchKind::BeamSearch,
+                TimelineConfig::anchored(event),
+            )
+            .run(&arrivals)
+            .expect("kernel run completes");
+            prop_assert_eq!(golden::served_fingerprint(&run.served), want);
         }
     }
 }

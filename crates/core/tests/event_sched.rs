@@ -1,23 +1,25 @@
-//! Correctness anchors for event-driven (iteration-granularity)
-//! scheduling, plus the idle-attribution audit.
+//! Anchors for the scheduler kernel's lockstep and event-driven
+//! (iteration-granularity) modes, plus the idle-attribution audit.
 //!
-//! * **Batch 1**: `EventServerSim` with `BatchConfig::fifo()` must
-//!   reproduce `ServerSim::run` bit-for-bit — the same anchor the
-//!   lockstep scheduler carries.
-//! * **Infinite window**: `EventConfig::lockstep(..)` must reproduce
-//!   `BatchedServerSim::run` bit-for-bit across policies — including
-//!   fused verifier sweeps, demand shares and preemption-heavy
-//!   fixtures — so the event loop provably contains the lockstep
-//!   scheduler as its degenerate mode.
+//! * **Batch 1**: `BatchConfig::fifo()` under any window must reproduce
+//!   `ServerSim::run` bit-for-bit, checked live.
+//! * **Infinite window** (`EventConfig::lockstep`) and **anchored
+//!   windows** (`TimelineConfig::anchored`) must reproduce the frozen
+//!   fingerprints of the separate lockstep and event-driven loops the
+//!   kernel replaced (`golden/anchors.txt`) across policies — fused
+//!   verifier sweeps, demand shares, preemption pressure, fault storms
+//!   and the host tier.
 //! * **Idle attribution**: per request, `queue_delay + generator +
 //!   verifier + recompute + offload + idle` must equal arrival-to-
-//!   completion wall-clock under *both* schedulers; `barrier_idle` is a
-//!   slice of `idle` that only lockstep rounds may book — a finite
-//!   event window never does.
+//!   completion wall-clock in every mode; `barrier_idle` is a slice of
+//!   `idle` that only lockstep rounds may book — a finite window never
+//!   does.
+
+mod golden;
 
 use ftts_core::{
-    BatchConfig, BatchRun, BatchedServerSim, EventConfig, EventServerSim, FaultPlan, KvTierConfig,
-    ServedRequest, ServerSim, StormConfig, TimelineConfig, TimelineServerSim, TtsServer,
+    BatchConfig, BatchRun, EventConfig, FaultPlan, KvTierConfig, ServedRequest, ServerSim,
+    StormConfig, TimelineConfig, TimelineServerSim, TtsServer,
 };
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
@@ -31,59 +33,18 @@ fn server(seed: u64, memory_fraction: f64) -> TtsServer {
     s
 }
 
-fn assert_served_identical(label: &str, a: &[ServedRequest], b: &[ServedRequest]) {
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(b) {
-        assert_eq!(x.arrived_at, y.arrived_at, "{label}: arrivals");
-        assert_eq!(x.started_at, y.started_at, "{label}: admission instants");
-        assert_eq!(x.finished_at, y.finished_at, "{label}: completion instants");
-        assert_eq!(x.preemptions, y.preemptions, "{label}: preemption counts");
-        assert_eq!(x.preempted_secs, y.preempted_secs, "{label}: pause time");
-        let (xs, ys) = (&x.outcome.stats, &y.outcome.stats);
-        assert_eq!(x.outcome.answer, y.outcome.answer, "{label}: answers");
-        assert_eq!(
-            xs.completion.latency, ys.completion.latency,
-            "{label}: latency"
-        );
-        assert_eq!(
-            xs.completion.breakdown, ys.completion.breakdown,
-            "{label}: breakdown (incl. barrier_idle)"
-        );
-        assert_eq!(xs.iterations, ys.iterations, "{label}: iterations");
-        assert_eq!(xs.decoded_tokens, ys.decoded_tokens, "{label}: decoded");
-        assert_eq!(xs.verified_tokens, ys.verified_tokens, "{label}: verified");
-        assert_eq!(xs.spec, ys.spec, "{label}: speculation counters");
-        assert_eq!(xs.gen_cache, ys.gen_cache, "{label}: gen eviction stats");
-        assert_eq!(xs.ver_cache, ys.ver_cache, "{label}: ver eviction stats");
-        assert_eq!(xs.beams.len(), ys.beams.len(), "{label}: beam counts");
-        for (bx, by) in xs.beams.iter().zip(&ys.beams) {
-            assert_eq!(bx.tokens, by.tokens);
-            assert_eq!(bx.completion_time, by.completion_time);
-            assert_eq!(bx.answer, by.answer);
-            assert_eq!(bx.score, by.score);
-        }
-    }
-}
-
-fn assert_runs_identical(label: &str, a: &BatchRun, b: &BatchRun) {
-    assert_served_identical(label, &a.served, &b.served);
-    assert_eq!(a.rounds, b.rounds, "{label}: round counts");
-    assert_eq!(a.group_iters, b.group_iters, "{label}: group iterations");
-    assert_eq!(a.preemptions, b.preemptions, "{label}: preemptions");
-    assert_eq!(
-        a.peak_reserved_bytes, b.peak_reserved_bytes,
-        "{label}: peak reservations"
-    );
-    assert_eq!(a.ver_sweeps, b.ver_sweeps, "{label}: verifier sweeps");
-    assert_eq!(a.ver_seqs, b.ver_seqs, "{label}: verifier sequences");
-    assert_eq!(
-        a.ver_busy_secs, b.ver_busy_secs,
-        "{label}: verifier busy time"
-    );
+/// The kernel with both honesty features off.
+fn kernel(seed: u64, memory_fraction: f64, n: usize, event: EventConfig) -> TimelineServerSim {
+    TimelineServerSim::new(
+        server(seed, memory_fraction),
+        n,
+        SearchKind::BeamSearch,
+        TimelineConfig::anchored(event),
+    )
 }
 
 // ---------------------------------------------------------------------
-// Anchor 1: batch-1 event-driven == ServerSim, bit for bit.
+// Anchor 1: batch 1 == ServerSim, bit for bit, in every window.
 // ---------------------------------------------------------------------
 
 fn check_batch1(label: &str, seed: u64, arrivals: &[RequestArrival], n: usize) {
@@ -93,15 +54,14 @@ fn check_batch1(label: &str, seed: u64, arrivals: &[RequestArrival], n: usize) {
     // Any finite window (and the infinite one) must degenerate at batch
     // 1: groups are singletons either way.
     for window in [0.0, 0.5, f64::INFINITY] {
-        let event = EventServerSim::new(
-            server(seed, 0.9),
-            n,
-            SearchKind::BeamSearch,
-            EventConfig::new(BatchConfig::fifo(), window),
-        )
-        .run(arrivals)
-        .expect("event run");
-        assert_served_identical(&format!("{label} (window {window})"), &fifo, &event.served);
+        let event = kernel(seed, 0.9, n, EventConfig::new(BatchConfig::fifo(), window))
+            .run(arrivals)
+            .expect("event run");
+        assert_eq!(
+            golden::served_fingerprint(&fifo),
+            golden::served_fingerprint(&event.served),
+            "{label} (window {window})"
+        );
         assert_eq!(event.preemptions, 0);
         assert!(event.peak_reserved_bytes <= event.pool_bytes);
         for r in &event.served {
@@ -136,7 +96,7 @@ fn batch1_matches_serversim_on_uniform_overload() {
 }
 
 // ---------------------------------------------------------------------
-// Anchor 2: infinite window == BatchedServerSim, bit for bit.
+// Anchor 2: infinite window == the frozen lockstep-loop golden.
 // ---------------------------------------------------------------------
 
 fn check_infinite_window(
@@ -147,24 +107,11 @@ fn check_infinite_window(
     n: usize,
     config: BatchConfig,
 ) -> BatchRun {
-    let lockstep = BatchedServerSim::new(
-        server(seed, memory_fraction),
-        n,
-        SearchKind::BeamSearch,
-        config,
-    )
-    .run(arrivals)
-    .expect("lockstep run");
-    let event = EventServerSim::new(
-        server(seed, memory_fraction),
-        n,
-        SearchKind::BeamSearch,
-        EventConfig::lockstep(config),
-    )
-    .run(arrivals)
-    .expect("event run");
-    assert_runs_identical(label, &lockstep, &event);
-    lockstep
+    let run = kernel(seed, memory_fraction, n, EventConfig::lockstep(config))
+        .run(arrivals)
+        .expect("lockstep run");
+    golden::assert_golden(&format!("event_sched/lockstep/{label}"), &run);
+    run
 }
 
 #[test]
@@ -240,14 +187,9 @@ fn assert_time_conserved(label: &str, served: &[ServedRequest]) {
 fn idle_attribution_sums_to_wall_clock_under_lockstep() {
     let problems = Dataset::Amc2023.problems(6, 41);
     let arrivals = ArrivalPattern::Uniform { interval: 1.0 }.schedule(&problems, 0);
-    let run = BatchedServerSim::new(
-        server(5, 0.9),
-        16,
-        SearchKind::BeamSearch,
-        BatchConfig::fused(8),
-    )
-    .run(&arrivals)
-    .expect("lockstep run");
+    let run = kernel(5, 0.9, 16, EventConfig::lockstep(BatchConfig::fused(8)))
+        .run(&arrivals)
+        .expect("lockstep run");
     assert_time_conserved("lockstep fused-8", &run.served);
     // Multi-request lockstep rounds must actually wait at barriers —
     // the idle source event-driven scheduling drains.
@@ -264,14 +206,9 @@ fn idle_attribution_sums_to_wall_clock_under_event_scheduling() {
     let problems = Dataset::Amc2023.problems(6, 41);
     let arrivals = ArrivalPattern::Uniform { interval: 1.0 }.schedule(&problems, 0);
     for window in [0.0, 0.1, 1.0] {
-        let run = EventServerSim::new(
-            server(5, 0.9),
-            16,
-            SearchKind::BeamSearch,
-            EventConfig::windowed(8, window),
-        )
-        .run(&arrivals)
-        .expect("event run");
+        let run = kernel(5, 0.9, 16, EventConfig::windowed(8, window))
+            .run(&arrivals)
+            .expect("event run");
         assert_time_conserved(&format!("event window {window}"), &run.served);
         // The headline attribution guarantee: no finite-window launch
         // ever waits at a round barrier.
@@ -289,10 +226,10 @@ fn idle_attribution_sums_to_wall_clock_under_event_scheduling() {
 fn preempted_requests_conserve_time_too() {
     let problems = Dataset::Aime2024.problems(4, 51);
     let arrivals = ArrivalPattern::Burst { at: 0.0 }.schedule(&problems, 0);
-    let run = EventServerSim::new(
-        server(13, 0.30),
+    let run = kernel(
+        13,
+        0.30,
         24,
-        SearchKind::BeamSearch,
         EventConfig::new(BatchConfig::continuous(4), 0.2),
     )
     .run(&arrivals)
@@ -308,26 +245,16 @@ fn preempted_requests_conserve_time_too() {
 #[test]
 fn simultaneous_arrivals_admit_in_stream_order_on_both_schedulers() {
     // A burst delivers every request at t = 0: the shared tiebreak must
-    // admit them in arrival-index order on both schedulers, giving
-    // identical, deterministic admission instants.
+    // admit them in arrival-index order in lockstep and windowed modes,
+    // giving identical, deterministic admission instants.
     let problems = Dataset::Amc2023.problems(5, 77);
     let arrivals = ArrivalPattern::Burst { at: 0.0 }.schedule(&problems, 0);
-    let lockstep = BatchedServerSim::new(
-        server(2, 0.9),
-        8,
-        SearchKind::BeamSearch,
-        BatchConfig::continuous(3),
-    )
-    .run(&arrivals)
-    .expect("lockstep");
-    let event = EventServerSim::new(
-        server(2, 0.9),
-        8,
-        SearchKind::BeamSearch,
-        EventConfig::new(BatchConfig::continuous(3), 0.1),
-    )
-    .run(&arrivals)
-    .expect("event");
+    let lockstep = kernel(2, 0.9, 8, EventConfig::lockstep(BatchConfig::continuous(3)))
+        .run(&arrivals)
+        .expect("lockstep");
+    let event = kernel(2, 0.9, 8, EventConfig::new(BatchConfig::continuous(3), 0.1))
+        .run(&arrivals)
+        .expect("event");
     for run in [&lockstep, &event] {
         // The first `max_batch` requests admit at t = 0 in stream
         // order; the rest queue behind them, also in stream order.
@@ -345,9 +272,8 @@ fn simultaneous_arrivals_admit_in_stream_order_on_both_schedulers() {
 }
 
 // ---------------------------------------------------------------------
-// Anchor 3: the global-timeline scheduler with both honesty features
-// disabled (`TimelineConfig::anchored`) reproduces `EventServerSim`
-// bit for bit — the timeline records segments purely as an observer.
+// Anchor 3: anchored windows == the frozen event-loop goldens; the
+// timeline records segments purely as an observer.
 // ---------------------------------------------------------------------
 
 fn check_timeline_anchor(
@@ -359,41 +285,18 @@ fn check_timeline_anchor(
     event: EventConfig,
     plan: &FaultPlan,
 ) {
-    let reference = EventServerSim::new(
-        server(seed, memory_fraction),
-        n,
-        SearchKind::BeamSearch,
-        event,
-    )
-    .run_faulted(arrivals, plan)
-    .expect("event run");
-    let timeline = TimelineServerSim::new(
-        server(seed, memory_fraction),
-        n,
-        SearchKind::BeamSearch,
-        TimelineConfig::anchored(event),
-    )
-    .run_faulted(arrivals, plan)
-    .expect("timeline run");
-    assert_runs_identical(label, &reference, &timeline);
-    assert_eq!(
-        reference.kernel_faults, timeline.kernel_faults,
-        "{label}: fault counters"
-    );
-    assert_eq!(
-        reference.lost_blocks, timeline.lost_blocks,
-        "{label}: kv loss"
-    );
+    let run = kernel(seed, memory_fraction, n, event)
+        .run_faulted(arrivals, plan)
+        .expect("timeline run");
+    golden::assert_golden(&format!("event_sched/anchored/{label}"), &run);
     assert!(
-        timeline.timeline.segments > 0,
-        "{label}: the observer still records segments"
+        run.timeline.segments > 0,
+        "{label}: the observer records segments"
     );
     assert_eq!(
-        timeline.timeline.stretch_secs, 0.0,
+        run.timeline.stretch_secs, 0.0,
         "{label}: anchored mode never stretches"
     );
-    // The reference scheduler records nothing.
-    assert_eq!(reference.timeline.segments, 0);
 }
 
 #[test]
@@ -402,7 +305,7 @@ fn timeline_anchored_matches_event_fault_free() {
     let arrivals = ArrivalPattern::Uniform { interval: 1.0 }.schedule(&problems, 0);
     for window in [0.0, 0.1, 1.0] {
         check_timeline_anchor(
-            &format!("anchored window {window}"),
+            &format!("window-{window}"),
             5,
             0.9,
             &arrivals,
@@ -419,7 +322,7 @@ fn timeline_anchored_matches_event_under_fault_storm() {
     let arrivals = ArrivalPattern::Uniform { interval: 1.0 }.schedule(&problems, 0);
     let plan = FaultPlan::storm(0xBEEF, 80.0, &StormConfig::default());
     check_timeline_anchor(
-        "anchored faulted",
+        "faulted",
         17,
         0.9,
         &arrivals,
@@ -438,7 +341,7 @@ fn timeline_anchored_matches_event_with_host_tier() {
     let arrivals = ArrivalPattern::Burst { at: 0.0 }.schedule(&problems, 0);
     let tiered = BatchConfig::continuous(4).with_tier(KvTierConfig::with_capacity(1 << 30));
     check_timeline_anchor(
-        "anchored tiered",
+        "tiered",
         13,
         0.30,
         &arrivals,
@@ -446,33 +349,6 @@ fn timeline_anchored_matches_event_with_host_tier() {
         EventConfig::new(tiered, 0.2),
         &FaultPlan::none(),
     );
-}
-
-#[test]
-fn timeline_batch1_matches_serversim() {
-    // Batch 1 collapses the whole stack: the anchored timeline loop
-    // must still reproduce the FIFO `ServerSim` exactly, like the
-    // lockstep and event schedulers do.
-    let problems = Dataset::Amc2023.problems(3, 33);
-    let arrivals = ArrivalPattern::Uniform { interval: 0.5 }.schedule(&problems, 0);
-    let fifo = ServerSim::new(server(11, 0.9), 8, SearchKind::BeamSearch)
-        .run(&arrivals)
-        .expect("fifo run");
-    for window in [0.0, 0.5, f64::INFINITY] {
-        let timeline = TimelineServerSim::new(
-            server(11, 0.9),
-            8,
-            SearchKind::BeamSearch,
-            TimelineConfig::anchored(EventConfig::new(BatchConfig::fifo(), window)),
-        )
-        .run(&arrivals)
-        .expect("timeline run");
-        assert_served_identical(
-            &format!("timeline batch-1 (window {window})"),
-            &fifo,
-            &timeline.served,
-        );
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -14,8 +14,8 @@
 //!    state never re-executes committed device work.
 
 use ftts_core::{
-    BatchConfig, BatchRun, BatchedServerSim, FaultPlan, FaultPolicy, RobustConfig, StormConfig,
-    TtsServer,
+    BatchConfig, BatchRun, EventConfig, FaultPlan, FaultPolicy, RobustConfig, StormConfig,
+    TimelineConfig, TimelineServerSim, TtsServer,
 };
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
@@ -30,12 +30,22 @@ fn server(seed: u64, memory_fraction: f64) -> TtsServer {
     s
 }
 
+/// The scheduler kernel in lockstep mode (an infinite co-batch window).
+fn lockstep(server: TtsServer, n: usize, config: BatchConfig) -> TimelineServerSim {
+    TimelineServerSim::new(
+        server,
+        n,
+        SearchKind::BeamSearch,
+        TimelineConfig::anchored(EventConfig::lockstep(config)),
+    )
+}
+
 fn run_storm(seed: u64, count: usize, storm: &StormConfig, policy: FaultPolicy) -> BatchRun {
     let problems = Dataset::Amc2023.problems(count, seed);
     let arrivals = ArrivalPattern::Burst { at: 0.0 }.schedule(&problems, 0);
     let plan = FaultPlan::storm(seed ^ 0xF0F0, 60.0, storm);
     let cfg = BatchConfig::continuous(8).with_robust(RobustConfig::with_policy(policy));
-    BatchedServerSim::new(server(seed, 0.9), 8, SearchKind::BeamSearch, cfg)
+    lockstep(server(seed, 0.9), 8, cfg)
         .run_faulted(&arrivals, &plan)
         .expect("faulted run completes")
 }

@@ -3,10 +3,9 @@
 //! * **Zero-fault inertness**: `run_faulted(&FaultPlan::none())` must
 //!   reproduce `run()` bit-for-bit under every policy, so the fault
 //!   layer provably costs nothing when no faults fire.
-//! * **Faulty lockstep equivalence**: the PR-4 anchor extends to faulty
-//!   runs — `EventConfig::lockstep(..)` under a seeded storm must
-//!   reproduce `BatchedServerSim::run_faulted` bit-for-bit, fault
-//!   counters included.
+//! * **Faulty lockstep anchor**: the kernel's lockstep mode under a
+//!   seeded storm must reproduce the frozen fingerprint of the former
+//!   lockstep loop (`golden/anchors.txt`), fault counters included.
 //! * **Determinism**: a `(seed, FaultPlan)` pair fully determines the
 //!   run; replaying it yields identical bytes.
 //! * **Answer invariance**: with the `Retry` policy, answers and
@@ -16,9 +15,11 @@
 //!   expires while paused is cancelled and its KV reservation fully
 //!   reclaimed (no `PoolBudget` leak).
 
+mod golden;
+
 use ftts_core::{
-    BatchConfig, BatchRun, BatchedServerSim, EventConfig, EventServerSim, FaultPlan, FaultPolicy,
-    RobustConfig, StormConfig, TtsServer,
+    BatchConfig, EventConfig, FaultPlan, FaultPolicy, RobustConfig, StormConfig, TimelineConfig,
+    TimelineServerSim, TtsServer,
 };
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
@@ -33,61 +34,21 @@ fn server(seed: u64, memory_fraction: f64) -> TtsServer {
     s
 }
 
+/// The scheduler kernel in lockstep mode (an infinite co-batch window).
+fn lockstep(server: TtsServer, n: usize, config: BatchConfig) -> TimelineServerSim {
+    TimelineServerSim::new(
+        server,
+        n,
+        SearchKind::BeamSearch,
+        TimelineConfig::anchored(EventConfig::lockstep(config)),
+    )
+}
+
 /// The overload fixture from the PR-4 anchors: six AMC problems at a
 /// one-second cadence against a batch window of four.
 fn overload_arrivals() -> Vec<RequestArrival> {
     let problems = Dataset::Amc2023.problems(6, 41);
     ArrivalPattern::Uniform { interval: 1.0 }.schedule(&problems, 0)
-}
-
-fn assert_runs_identical(label: &str, a: &BatchRun, b: &BatchRun) {
-    assert_eq!(a.served.len(), b.served.len(), "{label}: request counts");
-    for (x, y) in a.served.iter().zip(&b.served) {
-        assert_eq!(x.arrived_at, y.arrived_at, "{label}: arrivals");
-        assert_eq!(x.started_at, y.started_at, "{label}: admission instants");
-        assert_eq!(x.finished_at, y.finished_at, "{label}: completion instants");
-        assert_eq!(x.preemptions, y.preemptions, "{label}: preemption counts");
-        assert_eq!(x.preempted_secs, y.preempted_secs, "{label}: pause time");
-        assert_eq!(x.slo, y.slo, "{label}: SLO classes");
-        assert_eq!(x.deadline, y.deadline, "{label}: deadlines");
-        assert_eq!(x.shed, y.shed, "{label}: shed flags");
-        assert_eq!(x.granted_n, y.granted_n, "{label}: granted beam widths");
-        assert_eq!(x.outcome.answer, y.outcome.answer, "{label}: answers");
-        let (xs, ys) = (&x.outcome.stats, &y.outcome.stats);
-        assert_eq!(
-            xs.completion.latency, ys.completion.latency,
-            "{label}: latency"
-        );
-        assert_eq!(
-            xs.completion.breakdown, ys.completion.breakdown,
-            "{label}: breakdown (incl. fault bucket)"
-        );
-        assert_eq!(xs.iterations, ys.iterations, "{label}: iterations");
-        assert_eq!(xs.decoded_tokens, ys.decoded_tokens, "{label}: decoded");
-        assert_eq!(xs.verified_tokens, ys.verified_tokens, "{label}: verified");
-        assert_eq!(xs.faults, ys.faults, "{label}: per-request fault stats");
-    }
-    assert_eq!(a.rounds, b.rounds, "{label}: round counts");
-    assert_eq!(a.group_iters, b.group_iters, "{label}: group iterations");
-    assert_eq!(a.preemptions, b.preemptions, "{label}: preemptions");
-    assert_eq!(
-        a.peak_reserved_bytes, b.peak_reserved_bytes,
-        "{label}: peak reservations"
-    );
-    assert_eq!(a.kernel_faults, b.kernel_faults, "{label}: kernel faults");
-    assert_eq!(a.fault_retries, b.fault_retries, "{label}: retries");
-    assert_eq!(
-        a.kv_loss_events, b.kv_loss_events,
-        "{label}: KV-loss events"
-    );
-    assert_eq!(a.lost_blocks, b.lost_blocks, "{label}: lost blocks");
-    assert_eq!(a.shed, b.shed, "{label}: shed counts");
-    assert_eq!(a.cancelled, b.cancelled, "{label}: cancellations");
-    assert_eq!(a.degradations, b.degradations, "{label}: degradations");
-    assert_eq!(
-        a.final_reserved_bytes, b.final_reserved_bytes,
-        "{label}: residual reservations"
-    );
 }
 
 // ---------------------------------------------------------------------
@@ -103,13 +64,13 @@ fn zero_fault_plan_is_bit_inert() {
         FaultPolicy::Degrade,
     ] {
         let cfg = BatchConfig::continuous(4).with_robust(RobustConfig::with_policy(policy));
-        let plain = BatchedServerSim::new(server(5, 0.9), 8, SearchKind::BeamSearch, cfg)
+        let plain = lockstep(server(5, 0.9), 8, cfg)
             .run(&arrivals)
             .expect("plain run");
-        let faulted = BatchedServerSim::new(server(5, 0.9), 8, SearchKind::BeamSearch, cfg)
+        let faulted = lockstep(server(5, 0.9), 8, cfg)
             .run_faulted(&arrivals, &FaultPlan::none())
             .expect("faulted run");
-        assert_runs_identical(&format!("{policy:?}"), &plain, &faulted);
+        golden::assert_same(&format!("{policy:?}"), &plain, &faulted);
         assert_eq!(faulted.kernel_faults, 0);
         assert_eq!(faulted.kv_loss_events, 0);
         for r in &faulted.served {
@@ -119,7 +80,7 @@ fn zero_fault_plan_is_bit_inert() {
 }
 
 // ---------------------------------------------------------------------
-// Anchor 2: lockstep equivalence extends to faulty runs.
+// Anchor 2: the lockstep anchor extends to faulty runs.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -127,20 +88,12 @@ fn faulty_runs_keep_lockstep_equivalence() {
     let arrivals = overload_arrivals();
     let plan = FaultPlan::storm(7, 60.0, &StormConfig::default());
     let cfg = BatchConfig::continuous(4);
-    let batch = BatchedServerSim::new(server(5, 0.9), 8, SearchKind::BeamSearch, cfg)
+    let batch = lockstep(server(5, 0.9), 8, cfg)
         .run_faulted(&arrivals, &plan)
         .expect("batch run");
-    let event = EventServerSim::new(
-        server(5, 0.9),
-        8,
-        SearchKind::BeamSearch,
-        EventConfig::lockstep(cfg),
-    )
-    .run_faulted(&arrivals, &plan)
-    .expect("event run");
     assert!(batch.kernel_faults > 0, "storm must actually fire");
     assert!(batch.kv_loss_events > 0, "storm must lose KV");
-    assert_runs_identical("lockstep storm", &batch, &event);
+    golden::assert_golden("fault_sched/lockstep-storm", &batch);
 }
 
 // ---------------------------------------------------------------------
@@ -155,16 +108,11 @@ fn fault_runs_are_deterministic() {
     let twice = FaultPlan::storm(9, 50.0, &storm);
     assert_eq!(once.events(), twice.events(), "storm synthesis");
     let run = |plan: &FaultPlan| {
-        BatchedServerSim::new(
-            server(5, 0.9),
-            8,
-            SearchKind::BeamSearch,
-            BatchConfig::continuous(4),
-        )
-        .run_faulted(&arrivals, plan)
-        .expect("run")
+        lockstep(server(5, 0.9), 8, BatchConfig::continuous(4))
+            .run_faulted(&arrivals, plan)
+            .expect("run")
     };
-    assert_runs_identical("replay", &run(&once), &run(&twice));
+    golden::assert_same("replay", &run(&once), &run(&twice));
 }
 
 // ---------------------------------------------------------------------
@@ -179,7 +127,7 @@ fn answers_and_accepted_tokens_survive_faults() {
     let problems = Dataset::Amc2023.problems(5, 23);
     let arrivals = ArrivalPattern::Burst { at: 0.0 }.schedule(&problems, 0);
     let cfg = BatchConfig::continuous(8);
-    let clean = BatchedServerSim::new(server(3, 0.9), 8, SearchKind::BeamSearch, cfg)
+    let clean = lockstep(server(3, 0.9), 8, cfg)
         .run(&arrivals)
         .expect("clean run");
 
@@ -190,7 +138,7 @@ fn answers_and_accepted_tokens_survive_faults() {
         ..StormConfig::default()
     };
     let plan = FaultPlan::storm(17, 40.0, &compute_only);
-    let faulty = BatchedServerSim::new(server(3, 0.9), 8, SearchKind::BeamSearch, cfg)
+    let faulty = lockstep(server(3, 0.9), 8, cfg)
         .run_faulted(&arrivals, &plan)
         .expect("faulty run");
     assert!(faulty.kernel_faults > 0, "storm must actually fire");
@@ -211,7 +159,7 @@ fn answers_and_accepted_tokens_survive_faults() {
     // answers and accepted tokens are still invariant; the verifier
     // merely re-does work for the lost prefixes.
     let plan = FaultPlan::storm(17, 40.0, &StormConfig::default());
-    let replayed = BatchedServerSim::new(server(3, 0.9), 8, SearchKind::BeamSearch, cfg)
+    let replayed = lockstep(server(3, 0.9), 8, cfg)
         .run_faulted(&arrivals, &plan)
         .expect("replayed run");
     assert!(replayed.kv_loss_events > 0, "storm must lose KV");
@@ -242,7 +190,7 @@ fn retry_with_backoff_beats_blind_reexecution() {
     let plan = FaultPlan::storm(29, 45.0, &storm);
     let run = |policy: FaultPolicy| {
         let cfg = BatchConfig::continuous(4).with_robust(RobustConfig::with_policy(policy));
-        BatchedServerSim::new(server(5, 0.9), 8, SearchKind::BeamSearch, cfg)
+        lockstep(server(5, 0.9), 8, cfg)
             .run_faulted(&arrivals, &plan)
             .expect("run")
     };
@@ -280,7 +228,7 @@ fn preempted_request_past_deadline_is_cancelled_and_reclaimed() {
     // full beam width so the preemption cascade actually happens.
     robust.degrade_queue_per_level = 1000;
     let cfg = BatchConfig::continuous(4).with_robust(robust);
-    let run = BatchedServerSim::new(server(13, 0.30), 24, SearchKind::BeamSearch, cfg)
+    let run = lockstep(server(13, 0.30), 24, cfg)
         .run_faulted(&arrivals, &FaultPlan::none())
         .expect("run");
 
@@ -321,7 +269,7 @@ fn degradation_shrinks_beam_width_under_backlog() {
         .collect();
     let cfg =
         BatchConfig::continuous(4).with_robust(RobustConfig::with_policy(FaultPolicy::Degrade));
-    let run = BatchedServerSim::new(server(13, 0.30), 24, SearchKind::BeamSearch, cfg)
+    let run = lockstep(server(13, 0.30), 24, cfg)
         .run_faulted(&arrivals, &FaultPlan::none())
         .expect("run");
     assert!(

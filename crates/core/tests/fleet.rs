@@ -1,7 +1,7 @@
 //! Fleet-serving anchors (PR 8).
 //!
 //! * A 1-device fleet with the pass-through router is **bit-identical**
-//!   to bare `EventServerSim` — answers, tokens, instants and breakdown
+//!   to a bare scheduler-kernel run — answers, tokens, instants and breakdown
 //!   buckets — fault-free, under a (crash-free) fault storm, and with a
 //!   crash-bearing plan in no-failover mode (where the crash stays an
 //!   on-device outage).
@@ -15,9 +15,9 @@
 //!   completes them.
 
 use ftts_core::{
-    BatchConfig, BatchRun, EventConfig, EventServerSim, FaultEvent, FaultKind, FaultPlan,
-    FleetConfig, FleetRun, FleetSim, HedgeConfig, KvTierConfig, RoutePolicy, ServedRequest,
-    StormConfig, TimelineTuning, TtsServer,
+    BatchConfig, BatchRun, EventConfig, FaultEvent, FaultKind, FaultPlan, FleetConfig, FleetRun,
+    FleetSim, HedgeConfig, KvTierConfig, RoutePolicy, ServedRequest, StormConfig, TimelineConfig,
+    TimelineServerSim, TimelineTuning, TtsServer,
 };
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
@@ -29,6 +29,16 @@ fn server(seed: u64, memory_fraction: f64) -> TtsServer {
     s.config_mut().seed = seed;
     s.config_mut().memory_fraction = memory_fraction;
     s
+}
+
+/// The scheduler kernel at iteration granularity (no honesty features).
+fn kernel(server: TtsServer, n: usize, config: EventConfig) -> TimelineServerSim {
+    TimelineServerSim::new(
+        server,
+        n,
+        SearchKind::BeamSearch,
+        TimelineConfig::anchored(config),
+    )
 }
 
 fn arrivals(count: usize, problem_seed: u64, interval: f64) -> Vec<RequestArrival> {
@@ -92,12 +102,12 @@ fn assert_run_matches_bare(label: &str, fleet: &FleetRun, bare: &BatchRun) {
 }
 
 /// Anchor 1: a 1-device fleet with the pass-through router is
-/// bit-identical to bare `EventServerSim`, fault-free.
+/// bit-identical to a bare kernel run, fault-free.
 #[test]
 fn one_device_fleet_is_bit_identical_fault_free() {
     let stream = arrivals(5, 31, 12.0);
     let config = event_config();
-    let bare = EventServerSim::new(server(9, 0.55), 16, SearchKind::BeamSearch, config)
+    let bare = kernel(server(9, 0.55), 16, config)
         .run_faulted(&stream, &FaultPlan::none())
         .expect("bare run");
     let fleet = FleetSim::new(
@@ -125,7 +135,7 @@ fn one_device_fleet_is_bit_identical_under_storm() {
         ..StormConfig::default()
     };
     let plan = FaultPlan::storm(0xF1EE7, 90.0, &storm);
-    let bare = EventServerSim::new(server(9, 0.55), 16, SearchKind::BeamSearch, config)
+    let bare = kernel(server(9, 0.55), 16, config)
         .run_faulted(&stream, &plan)
         .expect("bare run");
     let fleet = FleetSim::new(
@@ -150,7 +160,7 @@ fn one_device_no_failover_crash_matches_bare_outage() {
         at: 20.0,
         kind: FaultKind::DeviceCrash { down_for: 30.0 },
     }]);
-    let bare = EventServerSim::new(server(9, 0.55), 16, SearchKind::BeamSearch, config)
+    let bare = kernel(server(9, 0.55), 16, config)
         .run_faulted(&stream, &plan)
         .expect("bare run");
     let fleet = FleetSim::new(
@@ -296,9 +306,9 @@ fn crash_failover_migrates_and_completes_every_request() {
     );
 }
 
-/// PR 10: attaching an *anchored* timeline tuning to the fleet is pure
-/// bookkeeping — per-device runs stay bit-identical to the plain
-/// event-driven fleet, but now carry occupancy roll-ups.
+/// PR 10: an explicit *anchored* timeline tuning is the fleet default —
+/// pure bookkeeping: per-device runs carry occupancy roll-ups and stay
+/// bit-identical to the default fleet.
 #[test]
 fn timeline_fleet_anchored_is_bit_identical_to_plain_fleet() {
     let stream = arrivals(6, 77, 4.0);
@@ -336,12 +346,6 @@ fn timeline_fleet_anchored_is_bit_identical_to_plain_fleet() {
                 "anchored mode never stretches"
             );
         }
-    }
-    for run in &plain.device_runs {
-        assert_eq!(
-            run.timeline.segments, 0,
-            "the plain event fleet has no timeline"
-        );
     }
 }
 

@@ -3,7 +3,9 @@
 //! never double-counted across requests), the opt-in First Finish cut,
 //! and demand-proportional shares easing preemption pressure.
 
-use ftts_core::{BatchConfig, BatchRun, BatchedServerSim, ServerSim, TtsServer};
+use ftts_core::{
+    BatchConfig, BatchRun, EventConfig, ServerSim, TimelineConfig, TimelineServerSim, TtsServer,
+};
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
 use ftts_search::SearchKind;
@@ -16,13 +18,23 @@ fn server(seed: u64, memory_fraction: f64) -> TtsServer {
     s
 }
 
+/// The scheduler kernel in lockstep mode (an infinite co-batch window).
+fn lockstep(server: TtsServer, n: usize, config: BatchConfig) -> TimelineServerSim {
+    TimelineServerSim::new(
+        server,
+        n,
+        SearchKind::BeamSearch,
+        TimelineConfig::anchored(EventConfig::lockstep(config)),
+    )
+}
+
 fn overload_arrivals(count: usize, seed: u64) -> Vec<RequestArrival> {
     let problems = Dataset::Amc2023.problems(count, seed);
     ArrivalPattern::Uniform { interval: 1.0 }.schedule(&problems, 0)
 }
 
 fn run_policy(config: BatchConfig, arrivals: &[RequestArrival], n: usize) -> BatchRun {
-    BatchedServerSim::new(server(7, 0.9), n, SearchKind::BeamSearch, config)
+    lockstep(server(7, 0.9), n, config)
         .run(arrivals)
         .expect("run")
 }
@@ -114,19 +126,14 @@ fn demand_shares_ease_preemption_pressure_at_the_same_pool_size() {
     // swap-out; demand-proportional shares size it up instead.
     let problems = Dataset::Aime2024.problems(4, 51);
     let arrivals = ArrivalPattern::Burst { at: 0.0 }.schedule(&problems, 0);
-    let equal = BatchedServerSim::new(
-        server(13, 0.30),
-        24,
-        SearchKind::BeamSearch,
-        BatchConfig::continuous(4),
-    )
-    .run(&arrivals)
-    .expect("equal-share run");
+    let equal = lockstep(server(13, 0.30), 24, BatchConfig::continuous(4))
+        .run(&arrivals)
+        .expect("equal-share run");
     let demand_cfg = BatchConfig {
         demand_shares: true,
         ..BatchConfig::continuous(4)
     };
-    let demand = BatchedServerSim::new(server(13, 0.30), 24, SearchKind::BeamSearch, demand_cfg)
+    let demand = lockstep(server(13, 0.30), 24, demand_cfg)
         .run(&arrivals)
         .expect("demand-share run");
     assert!(equal.preemptions > 0, "the fixture must actually pressure");

@@ -2,9 +2,9 @@
 //!
 //! * **Capacity-0 inertness**: a disabled tier (`host_capacity_bytes ==
 //!   0`, any other knob values) reproduces the tier-free run
-//!   bit-for-bit under both schedulers, fault-free and faulted — the
-//!   schedulers' legacy code paths are gated on `HostTier::enabled`
-//!   alone, and every tier counter stays zero.
+//!   bit-for-bit in lockstep and windowed modes, fault-free and
+//!   faulted — the kernel's tier-free code paths are gated on
+//!   `HostTier::enabled` alone, and every tier counter stays zero.
 //! * **Swap-down conserves tokens**: with an ample tier, preempted KV
 //!   parks in host RAM and restores on readmission; answers and
 //!   accepted-token counts match the preemption-free FIFO replay
@@ -13,15 +13,16 @@
 //!   forces preemption overflow to drop; the run still serves everyone
 //!   with the same answers (recompute is deterministic replay), it just
 //!   pays recompute instead of swap traffic.
-//! * **Lockstep equivalence extends to the tier**: both schedulers
-//!   consume the tier at the same boundaries (admission, preemption,
-//!   cancellation, completion), so the infinite-window event scheduler
-//!   stays bit-identical to the lockstep scheduler with the tier
-//!   enabled — including under an injected fault storm.
+//! * **The lockstep anchor extends to the tier**: with the tier
+//!   enabled, the kernel's lockstep mode reproduces the frozen
+//!   fingerprints of the former lockstep loop (`golden/anchors.txt`) —
+//!   including under an injected fault storm.
+
+mod golden;
 
 use ftts_core::{
-    BatchConfig, BatchRun, BatchedServerSim, EventConfig, EventServerSim, FaultPlan, FaultPolicy,
-    KvTierConfig, RobustConfig, RunDirectives, ServerSim, StormConfig, TtsServer,
+    BatchConfig, EventConfig, FaultPlan, FaultPolicy, KvTierConfig, RobustConfig, RunDirectives,
+    ServerSim, StormConfig, TimelineConfig, TimelineServerSim, TtsServer,
 };
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
@@ -36,6 +37,26 @@ fn server(seed: u64, memory_fraction: f64) -> TtsServer {
     s
 }
 
+/// The scheduler kernel in lockstep mode (an infinite co-batch window).
+fn lockstep(server: TtsServer, n: usize, config: BatchConfig) -> TimelineServerSim {
+    TimelineServerSim::new(
+        server,
+        n,
+        SearchKind::BeamSearch,
+        TimelineConfig::anchored(EventConfig::lockstep(config)),
+    )
+}
+
+/// The scheduler kernel at iteration granularity (no honesty features).
+fn kernel(server: TtsServer, n: usize, config: EventConfig) -> TimelineServerSim {
+    TimelineServerSim::new(
+        server,
+        n,
+        SearchKind::BeamSearch,
+        TimelineConfig::anchored(config),
+    )
+}
+
 /// The PR-2 preemption fixture: four deep AIME searches bursting into a
 /// tight pool, so equal shares shrink until someone swaps out.
 fn pressured_arrivals() -> Vec<RequestArrival> {
@@ -43,59 +64,8 @@ fn pressured_arrivals() -> Vec<RequestArrival> {
     ArrivalPattern::Burst { at: 0.0 }.schedule(&problems, 0)
 }
 
-fn assert_runs_identical(label: &str, a: &BatchRun, b: &BatchRun) {
-    assert_eq!(a.served.len(), b.served.len(), "{label}: request counts");
-    for (x, y) in a.served.iter().zip(&b.served) {
-        assert_eq!(x.started_at, y.started_at, "{label}: admission instants");
-        assert_eq!(x.finished_at, y.finished_at, "{label}: completion instants");
-        assert_eq!(x.preemptions, y.preemptions, "{label}: preemption counts");
-        assert_eq!(x.preempted_secs, y.preempted_secs, "{label}: pause time");
-        assert_eq!(x.shed, y.shed, "{label}: shed flags");
-        assert_eq!(x.outcome.answer, y.outcome.answer, "{label}: answers");
-        let (xs, ys) = (&x.outcome.stats, &y.outcome.stats);
-        assert_eq!(
-            xs.completion.latency, ys.completion.latency,
-            "{label}: latency"
-        );
-        assert_eq!(
-            xs.completion.breakdown, ys.completion.breakdown,
-            "{label}: breakdown (incl. swap bucket)"
-        );
-        assert_eq!(xs.decoded_tokens, ys.decoded_tokens, "{label}: decoded");
-        assert_eq!(xs.verified_tokens, ys.verified_tokens, "{label}: verified");
-    }
-    assert_eq!(a.rounds, b.rounds, "{label}: round counts");
-    assert_eq!(a.group_iters, b.group_iters, "{label}: group iterations");
-    assert_eq!(a.preemptions, b.preemptions, "{label}: preemptions");
-    assert_eq!(
-        a.peak_reserved_bytes, b.peak_reserved_bytes,
-        "{label}: peak reservations"
-    );
-    assert_eq!(a.kernel_faults, b.kernel_faults, "{label}: kernel faults");
-    assert_eq!(a.lost_blocks, b.lost_blocks, "{label}: lost blocks");
-    assert_eq!(a.shed, b.shed, "{label}: shed counts");
-    assert_eq!(a.cancelled, b.cancelled, "{label}: cancellations");
-    assert_eq!(a.kv_tier_hits, b.kv_tier_hits, "{label}: tier hits");
-    assert_eq!(
-        a.kv_tier_demotions, b.kv_tier_demotions,
-        "{label}: tier demotions"
-    );
-    assert_eq!(
-        a.kv_tier_parked_bytes, b.kv_tier_parked_bytes,
-        "{label}: tier parked bytes"
-    );
-    assert_eq!(
-        a.kv_tier_dropped_bytes, b.kv_tier_dropped_bytes,
-        "{label}: tier dropped bytes"
-    );
-    assert_eq!(
-        a.final_reserved_bytes, b.final_reserved_bytes,
-        "{label}: residual reservations"
-    );
-}
-
 // ---------------------------------------------------------------------
-// Anchor 1: a zero-capacity tier is bit-inert under both schedulers,
+// Anchor 1: a zero-capacity tier is bit-inert in lockstep and windowed modes,
 // fault-free and faulted.
 // ---------------------------------------------------------------------
 
@@ -113,34 +83,24 @@ fn capacity_zero_tier_is_bit_inert() {
     let plan = FaultPlan::storm(7, 60.0, &StormConfig::default());
 
     for (label, plan) in [("fault-free", FaultPlan::none()), ("faulted", plan)] {
-        let plain = BatchedServerSim::new(server(13, 0.30), 24, SearchKind::BeamSearch, base)
+        let plain = lockstep(server(13, 0.30), 24, base)
             .run_faulted(&arrivals, &plan)
             .expect("plain run");
-        let gated = BatchedServerSim::new(server(13, 0.30), 24, SearchKind::BeamSearch, tiered)
+        let gated = lockstep(server(13, 0.30), 24, tiered)
             .run_faulted(&arrivals, &plan)
             .expect("tiered run");
-        assert_runs_identical(&format!("lockstep {label}"), &plain, &gated);
+        golden::assert_same(&format!("lockstep {label}"), &plain, &gated);
         assert_eq!(gated.kv_tier_hits, 0, "{label}: no hits on a disabled tier");
         assert_eq!(gated.kv_tier_parked_bytes, 0, "{label}: nothing parks");
         assert_eq!(gated.kv_tier_dropped_bytes, 0, "{label}: nothing drops");
 
-        let plain_ev = EventServerSim::new(
-            server(13, 0.30),
-            24,
-            SearchKind::BeamSearch,
-            EventConfig::new(base, 0.2),
-        )
-        .run_faulted(&arrivals, &plan)
-        .expect("plain event run");
-        let gated_ev = EventServerSim::new(
-            server(13, 0.30),
-            24,
-            SearchKind::BeamSearch,
-            EventConfig::new(tiered, 0.2),
-        )
-        .run_faulted(&arrivals, &plan)
-        .expect("tiered event run");
-        assert_runs_identical(&format!("event {label}"), &plain_ev, &gated_ev);
+        let plain_ev = kernel(server(13, 0.30), 24, EventConfig::new(base, 0.2))
+            .run_faulted(&arrivals, &plan)
+            .expect("plain event run");
+        let gated_ev = kernel(server(13, 0.30), 24, EventConfig::new(tiered, 0.2))
+            .run_faulted(&arrivals, &plan)
+            .expect("tiered event run");
+        golden::assert_same(&format!("event {label}"), &plain_ev, &gated_ev);
     }
 }
 
@@ -152,7 +112,7 @@ fn capacity_zero_tier_is_bit_inert() {
 fn ample_tier_parks_preempted_kv_and_conserves_tokens() {
     let arrivals = pressured_arrivals();
     let cfg = BatchConfig::continuous(4).with_tier(KvTierConfig::with_capacity(1 << 30));
-    let run = BatchedServerSim::new(server(13, 0.30), 24, SearchKind::BeamSearch, cfg)
+    let run = lockstep(server(13, 0.30), 24, cfg)
         .run(&arrivals)
         .expect("pressured run completes");
     assert!(run.preemptions > 0, "pressure must trigger preemption");
@@ -189,7 +149,7 @@ fn starved_tier_drops_overflow_but_still_serves_everyone() {
     // One KV block of host capacity: parks are all but rejected, so
     // preemption overflow genuinely drops and readmission recomputes.
     let cfg = BatchConfig::continuous(4).with_tier(KvTierConfig::with_capacity(4096));
-    let run = BatchedServerSim::new(server(13, 0.30), 24, SearchKind::BeamSearch, cfg)
+    let run = lockstep(server(13, 0.30), 24, cfg)
         .run(&arrivals)
         .expect("starved run completes");
     assert!(run.preemptions > 0, "pressure must trigger preemption");
@@ -229,14 +189,9 @@ fn directive_cancel_while_parked_reclaims_tier_bytes() {
         cancels: vec![(2, 60.0)],
         prewarms: Vec::new(),
     };
-    let run = EventServerSim::new(
-        server(13, 0.30),
-        24,
-        SearchKind::BeamSearch,
-        EventConfig::lockstep(cfg),
-    )
-    .run_directed(&arrivals, &FaultPlan::none(), &directives)
-    .expect("directed run");
+    let run = lockstep(server(13, 0.30), 24, cfg)
+        .run_directed(&arrivals, &FaultPlan::none(), &directives)
+        .expect("directed run");
     assert!(run.preemptions > 0, "fixture must preempt");
     assert!(run.kv_tier_parked_bytes > 0, "preempted KV must park");
     let victim = &run.served[2];
@@ -251,14 +206,9 @@ fn directive_cancel_while_parked_reclaims_tier_bytes() {
     );
     assert_eq!(run.final_reserved_bytes, 0, "device pool fully released");
     // Survivors are untouched: same answers as the directive-free run.
-    let base = EventServerSim::new(
-        server(13, 0.30),
-        24,
-        SearchKind::BeamSearch,
-        EventConfig::lockstep(cfg),
-    )
-    .run(&arrivals)
-    .expect("baseline run");
+    let base = lockstep(server(13, 0.30), 24, cfg)
+        .run(&arrivals)
+        .expect("baseline run");
     for idx in [0usize, 1, 3] {
         assert_eq!(
             run.served[idx].outcome.answer, base.served[idx].outcome.answer,
@@ -283,7 +233,7 @@ fn deadline_cancel_while_parked_reclaims_tier_bytes() {
     let cfg = BatchConfig::continuous(4)
         .with_tier(KvTierConfig::with_capacity(1 << 30))
         .with_robust(RobustConfig::with_policy(FaultPolicy::Degrade));
-    let run = BatchedServerSim::new(server(13, 0.30), 24, SearchKind::BeamSearch, cfg)
+    let run = lockstep(server(13, 0.30), 24, cfg)
         .run(&arrivals)
         .expect("degrade run");
     assert!(run.kv_tier_parked_bytes > 0, "preempted KV must park");
@@ -301,7 +251,7 @@ fn deadline_cancel_while_parked_reclaims_tier_bytes() {
 }
 
 // ---------------------------------------------------------------------
-// Anchor 4: lockstep equivalence extends to tier-enabled (and faulted)
+// Anchor 4: the lockstep anchor extends to tier-enabled (and faulted)
 // runs.
 // ---------------------------------------------------------------------
 
@@ -316,18 +266,10 @@ fn tiered_runs_keep_lockstep_equivalence() {
             FaultPlan::storm(7, 60.0, &StormConfig::default()),
         ),
     ] {
-        let batch = BatchedServerSim::new(server(13, 0.30), 24, SearchKind::BeamSearch, cfg)
+        let batch = lockstep(server(13, 0.30), 24, cfg)
             .run_faulted(&arrivals, &plan)
             .expect("batch run");
-        let event = EventServerSim::new(
-            server(13, 0.30),
-            24,
-            SearchKind::BeamSearch,
-            EventConfig::lockstep(cfg),
-        )
-        .run_faulted(&arrivals, &plan)
-        .expect("event run");
         assert!(batch.preemptions > 0, "{label}: fixture must preempt");
-        assert_runs_identical(&format!("tiered {label}"), &batch, &event);
+        golden::assert_golden(&format!("kv_tier/tiered-{label}"), &batch);
     }
 }

@@ -2,11 +2,15 @@
 //! every rebalance boundary (audited through the per-tenant peak
 //! grants), capping a noisy tenant protects its neighbour, per-tenant
 //! admission quotas do not block other tenants' arrivals, and tenanted
-//! runs stay bit-deterministic.
+//! runs stay bit-deterministic. The lockstep fixtures are also pinned
+//! to fingerprints frozen from the former lockstep loop
+//! (`golden/anchors.txt`).
+
+mod golden;
 
 use ftts_core::{
-    BatchConfig, BatchRun, BatchedServerSim, EventConfig, EventServerSim, TenantPolicy, TenantSpec,
-    TtsServer,
+    BatchConfig, BatchRun, EventConfig, TenantPolicy, TenantSpec, TimelineConfig,
+    TimelineServerSim, TtsServer,
 };
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
@@ -18,6 +22,26 @@ fn server(seed: u64, memory_fraction: f64) -> TtsServer {
     s.config_mut().seed = seed;
     s.config_mut().memory_fraction = memory_fraction;
     s
+}
+
+/// The scheduler kernel in lockstep mode (an infinite co-batch window).
+fn lockstep(server: TtsServer, n: usize, config: BatchConfig) -> TimelineServerSim {
+    TimelineServerSim::new(
+        server,
+        n,
+        SearchKind::BeamSearch,
+        TimelineConfig::anchored(EventConfig::lockstep(config)),
+    )
+}
+
+/// The scheduler kernel at iteration granularity (no honesty features).
+fn kernel(server: TtsServer, n: usize, config: EventConfig) -> TimelineServerSim {
+    TimelineServerSim::new(
+        server,
+        n,
+        SearchKind::BeamSearch,
+        TimelineConfig::anchored(config),
+    )
 }
 
 /// The noisy-neighbor fixture: tenant 0 (the victim) trickles shallow
@@ -74,12 +98,14 @@ fn tenant_caps_hold_and_protect_the_victim() {
         },
     ]);
     let run = |config: BatchConfig| {
-        BatchedServerSim::new(server(7, 0.45), 12, SearchKind::BeamSearch, config)
+        lockstep(server(7, 0.45), 12, config)
             .run(&arrivals)
             .expect("run")
     };
     let uncapped = run(BatchConfig::fused(4));
     let capped = run(BatchConfig::fused(4).with_tenants(policy));
+    golden::assert_golden("tenant_fair_share/lockstep-uncapped", &uncapped);
+    golden::assert_golden("tenant_fair_share/lockstep-capped", &capped);
 
     // The hard cap held at every boundary the whole run: the noisy
     // tenant's peak steady-state grant never exceeded it.
@@ -150,14 +176,14 @@ fn admission_quota_limits_one_tenant_without_blocking_the_other() {
             max_in_flight: 1,
         },
     ]);
-    let run = BatchedServerSim::new(
+    let run = lockstep(
         server(3, 0.9),
         8,
-        SearchKind::BeamSearch,
         BatchConfig::fused(4).with_tenants(policy),
     )
     .run(&arrivals)
     .expect("run");
+    golden::assert_golden("tenant_fair_share/lockstep-quota", &run);
     assert_eq!(run.served.len(), 5, "everyone is eventually served");
     // The victim (arrival index 4) starts while tenant 1's backlog is
     // still queued: it must not wait for all four noisy requests.
@@ -193,17 +219,9 @@ fn tenanted_runs_are_deterministic_across_replays() {
     ]);
     let config = EventConfig::new(BatchConfig::fused(4).with_tenants(policy), 0.2);
     let go = || {
-        EventServerSim::new(server(7, 0.4), 12, SearchKind::BeamSearch, config)
+        kernel(server(7, 0.4), 12, config)
             .run(&arrivals)
             .expect("run")
     };
-    let (a, b) = (go(), go());
-    assert_eq!(a.tenant_peak_bytes, b.tenant_peak_bytes);
-    assert_eq!(a.rounds, b.rounds);
-    assert_eq!(a.preemptions, b.preemptions);
-    for (x, y) in a.served.iter().zip(&b.served) {
-        assert_eq!(x.finished_at, y.finished_at);
-        assert_eq!(x.outcome.answer, y.outcome.answer);
-        assert_eq!(x.accepted_tokens(), y.accepted_tokens());
-    }
+    golden::assert_same("tenanted replay", &go(), &go());
 }

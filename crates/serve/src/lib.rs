@@ -6,8 +6,8 @@
 //! ([`config`]), and a per-tenant admission front door ([`tenant`])
 //! enforcing hard KV caps and open-request quotas *before* anything
 //! reaches the scheduler. The runtime ([`runtime`]) replays the
-//! accumulated virtual-time request log through
-//! [`ftts_core::EventServerSim`] (or [`ftts_core::FleetSim`] for
+//! accumulated virtual-time request log through the scheduler kernel
+//! [`ftts_core::TimelineServerSim`] (or [`ftts_core::FleetSim`] for
 //! multi-device configs) on demand; determinism all the way down makes
 //! the replies replayable byte-for-byte.
 //!

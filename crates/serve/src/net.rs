@@ -68,7 +68,7 @@ fn handle_connection(
             continue;
         }
         let handled = runtime.lock().expect("runtime lock").handle_line(&line);
-        if writeln!(writer, "{}", handled.reply).is_err() {
+        if send_line(&mut writer, &handled.reply).is_err() {
             break;
         }
         if handled.shutdown {
@@ -79,6 +79,18 @@ fn handle_connection(
             break;
         }
     }
+}
+
+/// Write `line` and its newline terminator with one `write_all`.
+/// `writeln!` on a raw socket issues two writes — the line, then a lone
+/// `"\n"` — and Nagle's algorithm holds that second segment back until
+/// the peer's delayed ACK, stalling every such reply by tens of
+/// milliseconds.
+fn send_line(w: &mut impl Write, line: &str) -> std::io::Result<()> {
+    let mut frame = String::with_capacity(line.len() + 1);
+    frame.push_str(line);
+    frame.push('\n');
+    w.write_all(frame.as_bytes())
 }
 
 /// Replay `frames` (one frame per line; blank lines and `#` comments
@@ -99,7 +111,7 @@ pub fn replay(addr: &str, frames: &str) -> Result<Vec<String>, String> {
         .map(str::trim)
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
     {
-        writeln!(writer, "{frame}").map_err(|e| format!("send: {e}"))?;
+        send_line(&mut writer, frame).map_err(|e| format!("send: {e}"))?;
         let mut reply = String::new();
         let n = reader
             .read_line(&mut reply)
@@ -116,6 +128,35 @@ pub fn replay(addr: &str, frames: &str) -> Result<Vec<String>, String> {
 mod tests {
     use super::*;
     use crate::config::ServeConfig;
+
+    /// Counts `write` calls — one per segment a raw socket would send.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn send_line_writes_each_frame_in_one_call() {
+        let mut w = CountingWriter::default();
+        send_line(&mut w, r#"{"ok":true}"#).expect("send");
+        assert_eq!(w.writes, 1, "reply and newline leave together");
+        send_line(&mut w, "second").expect("send");
+        assert_eq!(w.writes, 2);
+        assert_eq!(w.bytes, b"{\"ok\":true}\nsecond\n");
+    }
 
     #[test]
     fn end_to_end_over_a_real_socket() {

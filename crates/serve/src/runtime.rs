@@ -3,7 +3,7 @@
 //! The server is a *virtual-time* front-end over the deterministic
 //! simulators: clients submit requests with explicit arrival instants,
 //! and any query that needs results (`status`, `stats`) replays the
-//! accumulated timeline through [`EventServerSim`] (or [`FleetSim`]
+//! accumulated timeline through [`TimelineServerSim`] (or [`FleetSim`]
 //! when the config declares more than one device) from scratch.
 //! Because every layer underneath is seeded and deterministic, the
 //! replay is instant in the relevant sense — simulated seconds cost
@@ -30,8 +30,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use ftts_core::{
-    BatchConfig, EventConfig, EventServerSim, FaultPlan, FleetConfig, FleetSim, RoutePolicy,
-    ServedRequest, StormConfig, TenantPolicy, TenantSpec, TtsServer,
+    BatchConfig, EventConfig, FaultPlan, FleetConfig, FleetSim, RoutePolicy, ServedRequest,
+    StormConfig, TenantPolicy, TenantSpec, TimelineConfig, TimelineServerSim, TtsServer,
 };
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
@@ -501,11 +501,11 @@ impl ServeRuntime {
             WireError::new("internal_error", format!("simulation failed: {e:?}"))
         };
         let (served, tenant_peaks) = if self.config.devices == 1 {
-            let sim = EventServerSim::new(
+            let sim = TimelineServerSim::new(
                 Self::build_server(&self.config),
                 self.config.n_beams,
                 SearchKind::BeamSearch,
-                event,
+                TimelineConfig::anchored(event),
             );
             let run = sim
                 .run_faulted(arrivals, &self.fault_plan(0))

@@ -8,8 +8,8 @@
 //! ```
 
 use fasttts::{
-    ArrivalPattern, BatchConfig, BatchedServerSim, Dataset, GpuDevice, ModelPairing, SearchKind,
-    TtsServer,
+    ArrivalPattern, BatchConfig, Dataset, EventConfig, GpuDevice, ModelPairing, SearchKind,
+    TimelineConfig, TimelineServerSim, TtsServer,
 };
 
 fn main() -> Result<(), fasttts::EngineError> {
@@ -29,7 +29,12 @@ fn main() -> Result<(), fasttts::EngineError> {
         ("gang-3", BatchConfig::gang(3)),
         ("continuous-3", BatchConfig::continuous(3)),
     ] {
-        let sim = BatchedServerSim::new(server.clone(), 8, SearchKind::BeamSearch, config);
+        let sim = TimelineServerSim::new(
+            server.clone(),
+            8,
+            SearchKind::BeamSearch,
+            TimelineConfig::anchored(EventConfig::lockstep(config)),
+        );
         let run = sim.run(&arrivals)?;
         let s = run.stream_summary();
         println!(

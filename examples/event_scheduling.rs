@@ -1,16 +1,17 @@
 //! Event-driven (iteration-granularity) scheduling: the same
 //! straggler-heavy overload stream served with lockstep rounds (every
 //! request iterates once per round, then waits at the barrier) and with
-//! `EventServerSim`, where requests advance at their own cadence and
-//! co-batch opportunistically inside a configurable window.
+//! a finite co-batch window, where requests advance at their own
+//! cadence and co-batch opportunistically. Both are modes of the one
+//! scheduler kernel, `TimelineServerSim`.
 //!
 //! ```sh
 //! cargo run --release --example event_scheduling
 //! ```
 
 use fasttts::{
-    ArrivalPattern, BatchConfig, BatchRun, BatchedServerSim, Dataset, EventConfig, EventServerSim,
-    GpuDevice, ModelPairing, SearchKind, TtsServer,
+    ArrivalPattern, BatchConfig, BatchRun, Dataset, EventConfig, GpuDevice, ModelPairing,
+    SearchKind, TimelineConfig, TimelineServerSim, TtsServer,
 };
 
 fn idle_fraction(run: &BatchRun) -> (f64, f64) {
@@ -43,20 +44,20 @@ fn main() -> Result<(), fasttts::EngineError> {
         "{:<26} {:>14} {:>11} {:>10} {:>14} {:>14}",
         "scheduler", "goodput tok/s", "makespan s", "idle %", "barrier idle s", "launches"
     );
-    let lockstep = BatchedServerSim::new(
+    let lockstep = TimelineServerSim::new(
         server.clone(),
         16,
         SearchKind::BeamSearch,
-        BatchConfig::fused(6),
+        TimelineConfig::anchored(EventConfig::lockstep(BatchConfig::fused(6))),
     )
     .run(&arrivals)?;
     let mut rows = vec![("lockstep fused-6".to_string(), lockstep)];
     for window in [0.0, 0.25, f64::INFINITY] {
-        let run = EventServerSim::new(
+        let run = TimelineServerSim::new(
             server.clone(),
             16,
             SearchKind::BeamSearch,
-            EventConfig::windowed(6, window),
+            TimelineConfig::anchored(EventConfig::windowed(6, window)),
         )
         .run(&arrivals)?;
         rows.push((format!("event window {window:>5}s"), run));
@@ -74,8 +75,8 @@ fn main() -> Result<(), fasttts::EngineError> {
         );
     }
     println!(
-        "\nThe infinite window reproduces the lockstep rounds exactly (the\n\
-         equivalence anchor); finite windows drain the barrier idle into\n\
+        "\nThe infinite window is the lockstep mode, so it reproduces the\n\
+         lockstep rounds exactly; finite windows drain the barrier idle into\n\
          decode time, so the same requests finish far sooner — with\n\
          identical answers."
     );

@@ -20,8 +20,9 @@
 
 use fasttts::metrics::SloClass;
 use fasttts::{
-    ArrivalPattern, BatchConfig, BatchedServerSim, Dataset, FaultPlan, FaultPolicy, GpuDevice,
-    ModelPairing, RobustConfig, SearchKind, StormConfig, TtsServer,
+    ArrivalPattern, BatchConfig, Dataset, EventConfig, FaultPlan, FaultPolicy, GpuDevice,
+    ModelPairing, RobustConfig, SearchKind, StormConfig, TimelineConfig, TimelineServerSim,
+    TtsServer,
 };
 
 fn main() -> Result<(), fasttts::EngineError> {
@@ -65,8 +66,13 @@ fn main() -> Result<(), fasttts::EngineError> {
         ("degrade", FaultPolicy::Degrade),
     ] {
         let cfg = BatchConfig::continuous(4).with_robust(RobustConfig::with_policy(policy));
-        let run = BatchedServerSim::new(server(), 16, SearchKind::BeamSearch, cfg)
-            .run_faulted(&arrivals, &plan)?;
+        let run = TimelineServerSim::new(
+            server(),
+            16,
+            SearchKind::BeamSearch,
+            TimelineConfig::anchored(EventConfig::lockstep(cfg)),
+        )
+        .run_faulted(&arrivals, &plan)?;
         let s = run.stream_summary();
         println!(
             "  {label:<12} deadline hits {hit:>5.1}% | slo-goodput {slo:>7.1} tok/s | makespan {mk:>6.1} s | faults {kf} (retries {rt}) | kv-loss {kv} ({lost} blocks) | cancelled {cx} | beam degradations {deg}",

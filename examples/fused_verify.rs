@@ -7,7 +7,7 @@
 //!
 //! Run with `cargo run --release --example fused_verify`.
 
-use ftts_core::{BatchConfig, BatchedServerSim, TtsServer};
+use ftts_core::{BatchConfig, EventConfig, TimelineConfig, TimelineServerSim, TtsServer};
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
 use ftts_search::SearchKind;
@@ -35,9 +35,14 @@ fn main() {
             BatchConfig::fused(6).with_first_finish(0.62),
         ),
     ] {
-        let run = BatchedServerSim::new(server.clone(), 16, SearchKind::BeamSearch, config)
-            .run(&arrivals)
-            .expect("stream serves");
+        let run = TimelineServerSim::new(
+            server.clone(),
+            16,
+            SearchKind::BeamSearch,
+            TimelineConfig::anchored(EventConfig::lockstep(config)),
+        )
+        .run(&arrivals)
+        .expect("stream serves");
         let s = run.stream_summary();
         println!("{label}");
         println!(

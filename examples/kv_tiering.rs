@@ -14,8 +14,8 @@
 //! ```
 
 use fasttts::{
-    zipf_problems, ArrivalPattern, BatchConfig, BatchedServerSim, Dataset, GpuDevice, KvTierConfig,
-    ModelPairing, SearchKind, TtsServer,
+    zipf_problems, ArrivalPattern, BatchConfig, Dataset, EventConfig, GpuDevice, KvTierConfig,
+    ModelPairing, SearchKind, TimelineConfig, TimelineServerSim, TtsServer,
 };
 use ftts_workload::RequestArrival;
 
@@ -52,7 +52,13 @@ fn main() -> Result<(), fasttts::EngineError> {
     let mut runs = Vec::new();
     for (label, tier) in tiers {
         let cfg = BatchConfig::continuous(4).with_tier(tier);
-        let run = BatchedServerSim::new(server(), 24, SearchKind::BeamSearch, cfg).run(&stream)?;
+        let run = TimelineServerSim::new(
+            server(),
+            24,
+            SearchKind::BeamSearch,
+            TimelineConfig::anchored(EventConfig::lockstep(cfg)),
+        )
+        .run(&stream)?;
         let summary = run.stream_summary();
         println!(
             "{label:<18} goodput {:>7.1} tok/s | preemptions {:>2} | warm hits {} | parked {:>6.1} MiB | dropped {:>6.1} MiB",

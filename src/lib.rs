@@ -47,12 +47,11 @@ pub use ftts_workload as workload;
 
 pub use ftts_core::{
     degraded_beams, evaluate, parallel_map, sweep, AblationFlags, BatchConfig, BatchRun,
-    BatchedServerSim, EngineError, EvalConfig, EvalSummary, EventConfig, EventServerSim,
-    FaultEvent, FaultKind, FaultPlan, FaultPolicy, FleetConfig, FleetRun, FleetSim, HedgeConfig,
-    HostTier, HotnessPolicy, KvTierConfig, LruAccessHotness, PrefixAwareOrder, RobustConfig,
-    RooflinePlanner, RoutePolicy, ServeOutcome, ServedRequest, ServerSim, SpecConfig, StormConfig,
-    SweepJob, TierStats, TimelineConfig, TimelineServerSim, TimelineTuning, TtsServer,
-    WorstCaseOrder,
+    EngineError, EvalConfig, EvalSummary, EventConfig, FaultEvent, FaultKind, FaultPlan,
+    FaultPolicy, FleetConfig, FleetRun, FleetSim, HedgeConfig, HostTier, HotnessPolicy,
+    KvTierConfig, LruAccessHotness, PrefixAwareOrder, RobustConfig, RooflinePlanner, RoutePolicy,
+    ServeOutcome, ServedRequest, ServerSim, SpecConfig, StormConfig, SweepJob, TierStats,
+    TimelineConfig, TimelineServerSim, TimelineTuning, TtsServer, WorstCaseOrder,
 };
 pub use ftts_engine::{
     Engine, EngineConfig, ModelPairing, RequestRun, RunStats, SearchDriver, StepStatus,
