@@ -35,12 +35,23 @@
 //! * a 1-device fleet reproduces a bare kernel run bit-for-bit
 //!   (completion instants and answers) — the PR's equivalence anchor.
 //!
+//! **Router scaling** (`fleet_scaling`): host wall-clock per request of
+//! a crash-free 4-device fleet at N = 8, 128 and 512 requests on the
+//! repository benchmark's `fleet_crash` configuration (JSQ, default
+//! hedging, honest timeline with token joins, host tier, degrade
+//! policy, Poisson Zipf arrivals with SLO deadlines). The router resumes
+//! each device from a checkpoint, so the cost per request stays flat;
+//! `bench-gate` holds the within-run ratio N = 512 vs N = 8 under 2.0.
+//!
 //! Run with `cargo bench --bench pr8_fleet` (release profile).
+
+use std::time::Instant;
 
 use criterion::{Criterion, SampleStats};
 use ftts_core::{
-    BatchConfig, EventConfig, FaultEvent, FaultKind, FaultPlan, FleetConfig, FleetRun, FleetSim,
-    HedgeConfig, KvTierConfig, RoutePolicy, TimelineConfig, TimelineServerSim, TtsServer,
+    BatchConfig, EventConfig, FaultEvent, FaultKind, FaultPlan, FaultPolicy, FleetConfig, FleetRun,
+    FleetSim, HedgeConfig, KvTierConfig, RobustConfig, RoutePolicy, TimelineConfig,
+    TimelineServerSim, TimelineTuning, TtsServer,
 };
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
@@ -60,6 +71,12 @@ const TIER_CAPACITY: u64 = 1 << 33;
 const CRASH_DEVICE: usize = 1;
 const CRASH_AT_S: f64 = 25.0;
 const CRASH_DOWN_S: f64 = 300.0;
+/// Trace lengths of the router-scaling block.
+const SCALING_REQUESTS: [usize; 3] = [8, 128, 512];
+/// Rounds of the scaling block. Each round times every trace length
+/// (short ones several times), so machine noise hits all lengths alike;
+/// the fastest run of each length counts.
+const SCALING_ROUNDS: usize = 5;
 
 fn server(seed: u64) -> TtsServer {
     let mut s = TtsServer::fasttts(GpuDevice::rtx4090(), ModelPairing::pair_1_5b_1_5b());
@@ -216,6 +233,89 @@ fn wall_json(stats: &SampleStats) -> String {
         var = stats.variance_seconds2,
         p50 = stats.p50_seconds,
         p99 = stats.p99_seconds,
+    )
+}
+
+/// The router-scaling fleet: the repository benchmark's `fleet_crash`
+/// configuration without the crash.
+fn scaling_fleet() -> FleetSim {
+    let event = EventConfig::new(
+        BatchConfig::continuous(MAX_BATCH)
+            .with_tier(KvTierConfig::with_capacity(TIER_CAPACITY))
+            .with_robust(RobustConfig::with_policy(FaultPolicy::Degrade)),
+        0.25,
+    );
+    let config = FleetConfig::new(event, RoutePolicy::Jsq)
+        .with_timeline(TimelineTuning::honest().with_token_joins())
+        .with_hedge(HedgeConfig::default());
+    FleetSim::new(
+        vec![server(17); DEVICES],
+        N_BEAMS,
+        SearchKind::BeamSearch,
+        config,
+    )
+}
+
+/// `count` Poisson arrivals (0.3 req/s) of Zipf-popular problems from a
+/// 32-problem AMC-2023 catalogue, with round-robin SLO deadlines.
+fn scaling_arrivals(count: usize) -> Vec<RequestArrival> {
+    let slos = [
+        (SloClass::Interactive, 40.0),
+        (SloClass::Standard, 60.0),
+        (SloClass::Batch, 120.0),
+    ];
+    let ranked = Dataset::Amc2023.problems(32, 47);
+    let drawn = zipf_problems(&ranked, count, 0.8, 424_242);
+    ArrivalPattern::Poisson { rate: 0.3 }
+        .schedule(&drawn, 101)
+        .into_iter()
+        .enumerate()
+        .map(|(i, a)| {
+            let (class, slack) = slos[i % slos.len()];
+            a.with_slo(class, slack)
+        })
+        .collect()
+}
+
+/// Fleet host milliseconds per request at each scaling trace length
+/// (fastest of the timed runs).
+fn router_scaling() -> Vec<(usize, f64)> {
+    let fleet = scaling_fleet();
+    let traces: Vec<Vec<RequestArrival>> = SCALING_REQUESTS
+        .iter()
+        .map(|&n| scaling_arrivals(n))
+        .collect();
+    let mut best = vec![f64::INFINITY; traces.len()];
+    for _ in 0..SCALING_ROUNDS {
+        for (arrivals, best) in traces.iter().zip(&mut best) {
+            for _ in 0..(512 / arrivals.len()).clamp(1, 8) {
+                let start = Instant::now();
+                let run = fleet.run(arrivals).expect("scaling run");
+                *best = best.min(start.elapsed().as_secs_f64());
+                assert_eq!(run.served.len(), arrivals.len());
+            }
+        }
+    }
+    SCALING_REQUESTS
+        .iter()
+        .zip(best)
+        .map(|(&n, secs)| (n, secs * 1e3 / n as f64))
+        .collect()
+}
+
+fn scaling_json(scaling: &[(usize, f64)]) -> String {
+    let per_req: Vec<String> = scaling
+        .iter()
+        .map(|(n, ms)| format!("    \"ms_per_req_{n}\": {ms:.4}"))
+        .collect();
+    let first = scaling.first().expect("scaling points").1;
+    let last = scaling.last().expect("scaling points");
+    format!(
+        "  \"fleet_scaling\": {{\n{points},\n    \"ms_per_req_{n}_vs_{n0}\": {ratio:.3}\n  }}",
+        points = per_req.join(",\n"),
+        n = last.0,
+        n0 = scaling[0].0,
+        ratio = last.1 / first,
     )
 }
 
@@ -391,11 +491,17 @@ fn main() {
         })
     });
 
+    println!("\n== pr8: router scaling (fleet_crash config, no crash) ==");
+    let router = router_scaling();
+    for (n, ms) in &router {
+        println!("  N = {n:>4}: {ms:>8.3} host ms per request");
+    }
+
     let hit_gain = fh.deadline_hit_rate / nf.deadline_hit_rate.max(1e-12);
     let slo_gain = fh.slo_goodput / nf.slo_goodput.max(1e-12);
     let warm_gain = affinity.warm_hits() as f64 / (jsq.warm_hits().max(1)) as f64;
     let json = format!(
-        "{{\n  \"bench\": \"pr8_fleet\",\n  \"workload\": {{\n    \"requests\": {REQUESTS},\n    \"distinct_problems\": {DISTINCT_PROBLEMS},\n    \"zipf_skew\": {ZIPF_SKEW},\n    \"n_beams\": {N_BEAMS},\n    \"devices\": {DEVICES},\n    \"arrival_interval_s\": {ARRIVAL_INTERVAL_S},\n    \"crash_device\": {CRASH_DEVICE},\n    \"crash_at_s\": {CRASH_AT_S},\n    \"crash_down_s\": {CRASH_DOWN_S},\n    \"search\": \"beam\"\n  }},\n  \"policies\": {{\n{nf_json},\n{fh_json},\n{jsq_json},\n{aff_json},\n{single_json},\n{fleet4_json},\n{edge_json},\n{hetero_json}\n  }},\n  \"failover_deadline_hit_gain\": {hit_gain:.3},\n  \"failover_slo_goodput_gain\": {slo_gain:.3},\n  \"affinity_warm_hit_gain\": {warm_gain:.3},\n  \"fleet4_goodput_scaling_x\": {scaling:.3},\n  \"hetero_vs_edge_goodput_x\": {hetero_gain:.3},\n{wall}\n}}\n",
+        "{{\n  \"bench\": \"pr8_fleet\",\n  \"workload\": {{\n    \"requests\": {REQUESTS},\n    \"distinct_problems\": {DISTINCT_PROBLEMS},\n    \"zipf_skew\": {ZIPF_SKEW},\n    \"n_beams\": {N_BEAMS},\n    \"devices\": {DEVICES},\n    \"arrival_interval_s\": {ARRIVAL_INTERVAL_S},\n    \"crash_device\": {CRASH_DEVICE},\n    \"crash_at_s\": {CRASH_AT_S},\n    \"crash_down_s\": {CRASH_DOWN_S},\n    \"search\": \"beam\"\n  }},\n  \"policies\": {{\n{nf_json},\n{fh_json},\n{jsq_json},\n{aff_json},\n{single_json},\n{fleet4_json},\n{edge_json},\n{hetero_json}\n  }},\n  \"failover_deadline_hit_gain\": {hit_gain:.3},\n  \"failover_slo_goodput_gain\": {slo_gain:.3},\n  \"affinity_warm_hit_gain\": {warm_gain:.3},\n  \"fleet4_goodput_scaling_x\": {scaling:.3},\n  \"hetero_vs_edge_goodput_x\": {hetero_gain:.3},\n{wall},\n{router}\n}}\n",
         nf_json = policy_json("no_failover", &no_failover),
         fh_json = policy_json("failover_hedge", &failover_hedge),
         jsq_json = policy_json("jsq", &jsq),
@@ -405,6 +511,7 @@ fn main() {
         edge_json = policy_json("edge_orin_only", &edge_only),
         hetero_json = policy_json("hetero_mixed", &hetero),
         wall = wall_json(&wall),
+        router = scaling_json(&router),
     );
     let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR8.json");
     std::fs::write(out_path, &json).expect("write BENCH_PR8.json");

@@ -408,6 +408,18 @@ pub fn default_specs() -> Vec<MetricSpec> {
             direction: HigherIsBetter,
         },
         MetricSpec {
+            file: "BENCH_PR8.json",
+            path: "fleet_scaling.ms_per_req_512_vs_8",
+            label: "PR8 fleet router host ms/request, N=512 vs N=8",
+            min_ratio: 0.0,
+            // Within-run wall-clock ratio: a router that resumes devices
+            // from checkpoints keeps the cost per request near flat; one
+            // that replays every device from t = 0 grows with the trace
+            // (7x by N = 128).
+            absolute: Some(2.0),
+            direction: LowerIsBetter,
+        },
+        MetricSpec {
             file: "BENCH_PR10.json",
             path: "token_join_goodput_speedup_vs_iteration_joins",
             label: "PR10 token-join goodput vs iteration joins (honest w=0)",

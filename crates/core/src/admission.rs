@@ -13,6 +13,7 @@
 //! rest is always empty.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use ftts_engine::{EngineError, RequestRun, RunStats, SearchDriver, VerifyCharge, VerifyChunk};
 use ftts_kv::{HostTier, PoolBudget, ShareRequest, TenantShareRequest};
@@ -26,6 +27,7 @@ use crate::server::{ServeOutcome, ServedRequest, TtsServer};
 use crate::tenant::TenantPolicy;
 
 /// One in-flight (or preempted) request.
+#[derive(Clone)]
 pub(crate) struct InFlight {
     /// Index into the arrival stream (doubles as the pool holder id).
     pub(crate) idx: usize,
@@ -698,7 +700,7 @@ pub(crate) fn enforce_slo(
     rest: &mut Vec<InFlight>,
     pool: &mut PoolBudget,
     tier: &mut HostTier,
-    served: &mut [Option<ServedRequest>],
+    served: &mut [Option<Arc<ServedRequest>>],
 ) -> SloSweep {
     let mut sweep = SloSweep::default();
     if !ctx.config.robust.slo_enforcement() {
@@ -731,7 +733,7 @@ pub(crate) fn enforce_slo(
         if !(expired || infeasible) {
             return true;
         }
-        served[idx] = Some(ServedRequest {
+        served[idx] = Some(Arc::new(ServedRequest {
             arrived_at: a.at,
             started_at: now,
             finished_at: now,
@@ -745,7 +747,7 @@ pub(crate) fn enforce_slo(
                 stats: RunStats::default(),
                 answer: None,
             },
-        });
+        }));
         sweep.shed += 1;
         false
     });
@@ -768,7 +770,7 @@ pub(crate) fn enforce_slo(
                 prompt_tokens,
                 prompt_tokens.saturating_mul(gen_bpt),
             );
-            served[idx] = Some(cancel_record(p, now));
+            served[idx] = Some(Arc::new(cancel_record(p, now)));
             sweep.cancelled += 1;
         } else {
             pos += 1;
@@ -797,7 +799,7 @@ pub(crate) fn enforce_slo(
                     prompt_tokens,
                     prompt_tokens.saturating_mul(gen_bpt),
                 );
-                served[idx] = Some(cancel_record(a, now));
+                served[idx] = Some(Arc::new(cancel_record(a, now)));
                 sweep.cancelled += 1;
                 dropped = true;
             } else {
@@ -838,7 +840,7 @@ pub(crate) fn apply_cancels(
     rest: &mut Vec<InFlight>,
     pool: &mut PoolBudget,
     tier: &mut HostTier,
-    served: &mut [Option<ServedRequest>],
+    served: &mut [Option<Arc<ServedRequest>>],
 ) -> SloSweep {
     let mut sweep = SloSweep::default();
     let due = |idx: usize| cancel_at.get(idx).is_some_and(|&t| t <= now);
@@ -847,7 +849,7 @@ pub(crate) fn apply_cancels(
             return true;
         }
         let a = &arrivals[idx];
-        served[idx] = Some(ServedRequest {
+        served[idx] = Some(Arc::new(ServedRequest {
             arrived_at: a.at,
             started_at: now,
             finished_at: now,
@@ -861,7 +863,7 @@ pub(crate) fn apply_cancels(
                 stats: RunStats::default(),
                 answer: None,
             },
-        });
+        }));
         sweep.shed += 1;
         false
     });
@@ -871,7 +873,7 @@ pub(crate) fn apply_cancels(
             let p = paused.remove(pos).expect("index in range");
             tier.unpark(p.idx as u64);
             let idx = p.idx;
-            served[idx] = Some(cancel_record(p, now));
+            served[idx] = Some(Arc::new(cancel_record(p, now)));
             sweep.cancelled += 1;
         } else {
             pos += 1;
@@ -886,7 +888,7 @@ pub(crate) fn apply_cancels(
                 let idx = a.idx;
                 pool.release(idx as u64);
                 tier.unpark(idx as u64);
-                served[idx] = Some(cancel_record(a, now));
+                served[idx] = Some(Arc::new(cancel_record(a, now)));
                 sweep.cancelled += 1;
                 dropped = true;
             } else {

@@ -42,13 +42,19 @@
 //! ordered event timeline (arrivals, crashes, hedge checks, hedge
 //! resolutions), and every router observable (queue depths, completed
 //! latencies, EWMA health) is derived from per-device simulations that
-//! are themselves deterministic. The final authoritative device runs
-//! execute in parallel on the [`sweep`](crate::sweep) work-stealing
-//! harness and are `debug_assert`-checked bit-identical to the
-//! sequential caches — fleet results are invariant to worker-thread
-//! count. A 1-device fleet with the pass-through router is bit-identical
-//! to a bare kernel run, faulted and fault-free (enforced in
-//! `crates/core/tests/fleet.rs`).
+//! are themselves deterministic. A change to a device's legs or
+//! directives re-simulates the device to completion, resuming its
+//! kernel from the newest checkpoint whose horizon precedes the change
+//! (from t = 0 when none does; see "Resumable state" in the
+//! [`timeline`](crate::TimelineServerSim) module docs) — so each cache
+//! is exactly the run from t = 0 over the device's current input. The
+//! sequential caches are the fleet's result; debug builds re-run every
+//! device from t = 0 on the [`sweep`](crate::sweep) work-stealing
+//! harness and assert the replays equal the caches on the full
+//! fingerprint, so results are invariant to worker-thread count and to
+//! where the ladder happened to hold checkpoints. A 1-device fleet with
+//! the pass-through router is bit-identical to a bare kernel run,
+//! faulted and fault-free (enforced in `crates/core/tests/fleet.rs`).
 
 use ftts_engine::EngineError;
 use ftts_metrics::{FleetSummary, StreamRecord, StreamSummary};
@@ -60,7 +66,19 @@ use crate::event_server::{EventConfig, PrewarmPrefix, RunDirectives};
 use crate::faults::FaultPlan;
 use crate::server::{ServedRequest, TtsServer};
 use crate::sweep::parallel_map;
-use crate::timeline::{TimelineServerSim, TimelineTuning};
+use crate::timeline::{KernelState, TimelineServerSim, TimelineTuning};
+
+/// Minimum horizon spacing of a device's checkpoint ladder, simulated
+/// seconds.
+const CHECKPOINT_STRIDE_SECS: f64 = 2.0;
+/// Checkpoints one resume takes: the first within a stride before the
+/// event time, the next at least a stride later. More would cut the
+/// re-simulated span further but hold more in-flight runs in memory.
+const CHECKPOINTS_PER_RESUME: usize = 2;
+/// Checkpoints a device keeps below the current event time. Later
+/// changes land at or after it, except a hedge resolve that cancels
+/// its loser at an earlier winning finish.
+const CHECKPOINTS_BEHIND: usize = 1;
 
 /// How the fleet router picks a replica for a fresh (or migrated, or
 /// hedged) request.
@@ -250,12 +268,32 @@ impl Ord for FleetEvent {
 
 /// A device's cached simulation: the authoritative timeline for its
 /// currently assigned legs and directives.
-#[derive(Debug, Clone)]
 struct DeviceCache {
-    run: BatchRun,
+    /// The kernel state at the end of the device's run.
+    done: KernelState,
     /// Global leg ids in the arrival order fed to the simulator —
-    /// `run.served[i]` is the record of leg `order[i]`.
+    /// `done.served(i)` is the record of leg `order[i]`.
     order: Vec<usize>,
+    /// Global leg id → position in `order` (`usize::MAX` for legs of
+    /// other devices).
+    position: Vec<usize>,
+    /// Kernel states at iteration boundaries, in ascending horizon,
+    /// about [`CHECKPOINT_STRIDE_SECS`] apart.
+    ladder: Vec<KernelState>,
+}
+
+/// The exact kernel input behind one device's run in a [`FleetRun`]:
+/// the legs the device ended with, in arrival order, its fault plan
+/// (without the crashes the router handled) and the directives that
+/// steered it. [`FleetSim::replay_device`] re-runs it from t = 0.
+#[derive(Debug, Clone)]
+pub struct DeviceInput {
+    /// The device's arrival sub-stream (one entry per leg).
+    pub arrivals: Vec<RequestArrival>,
+    /// The faults injected into the device's kernel.
+    pub plan: FaultPlan,
+    /// Directed cancels and prewarms, indexed into `arrivals`.
+    pub directives: RunDirectives,
 }
 
 /// What one fleet run produced.
@@ -282,6 +320,10 @@ pub struct FleetRun {
     pub hedges_wasted: u64,
     /// Injected device downtime, summed across devices.
     pub crash_downtime_secs: f64,
+    /// Per device, the kernel input its run answers:
+    /// `device_runs[d]` is bit-identical to
+    /// [`FleetSim::replay_device`] over `device_inputs[d]`.
+    pub device_inputs: Vec<DeviceInput>,
 }
 
 impl FleetRun {
@@ -443,12 +485,13 @@ impl FleetSim {
 
         let mut engine = FleetEngine {
             sim: self,
+            kernels: (0..self.devices.len()).map(|d| self.kernel(d)).collect(),
             arrivals,
             device_plans: &device_plans,
             crash_windows: &crash_windows,
             legs: Vec::new(),
             legs_by_device: vec![Vec::new(); self.devices.len()],
-            states: vec![None; self.devices.len()],
+            states: (0..self.devices.len()).map(|_| None).collect(),
             pairs: Vec::new(),
             events: std::collections::BinaryHeap::new(),
             event_seq: 0,
@@ -468,29 +511,37 @@ impl FleetSim {
         engine.drive()?;
         engine.finish(crash_downtime_secs)
     }
-}
 
-/// Run one device's arrival sub-stream on the scheduler kernel under
-/// the fleet's event policy and timeline tuning.
-fn device_run(
-    sim: &FleetSim,
-    d: usize,
-    sub: &[RequestArrival],
-    plan: &FaultPlan,
-    directives: &RunDirectives,
-) -> Result<BatchRun, EngineError> {
-    TimelineServerSim::new(
-        sim.devices[d].clone(),
-        sim.n,
-        sim.kind,
-        sim.config.timeline.config(sim.config.event),
-    )
-    .run_directed(sub, plan, directives)
+    /// Re-run device `d`'s kernel from t = 0 over `input` — for a
+    /// [`FleetRun`]'s `device_inputs[d]`, this reproduces its
+    /// `device_runs[d]` bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`EngineError`] when a request cannot fit the
+    /// device's entire pool.
+    pub fn replay_device(&self, d: usize, input: &DeviceInput) -> Result<BatchRun, EngineError> {
+        self.kernel(d)
+            .run_directed(&input.arrivals, &input.plan, &input.directives)
+    }
+
+    /// Device `d`'s scheduler kernel under the fleet's event policy and
+    /// timeline tuning.
+    fn kernel(&self, d: usize) -> TimelineServerSim {
+        TimelineServerSim::new(
+            self.devices[d].clone(),
+            self.n,
+            self.kind,
+            self.config.timeline.config(self.config.event),
+        )
+    }
 }
 
 /// The sequential decision loop's working state.
 struct FleetEngine<'a> {
     sim: &'a FleetSim,
+    /// Per-device scheduler kernels.
+    kernels: Vec<TimelineServerSim>,
     arrivals: &'a [RequestArrival],
     device_plans: &'a [FaultPlan],
     crash_windows: &'a [Vec<(f64, f64)>],
@@ -522,14 +573,53 @@ impl<'a> FleetEngine<'a> {
         self.event_seq += 1;
     }
 
-    /// Re-simulate device `d` from its current legs and directives; the
-    /// cache is the authoritative timeline until the next change.
-    fn resim(&mut self, d: usize) -> Result<(), EngineError> {
+    /// Re-simulate device `d` after its legs or directives changed at
+    /// instants no earlier than `change`, during the event at `now`;
+    /// the cache is the authoritative timeline until the next change.
+    ///
+    /// The kernel resumes from the newest checkpoint whose horizon lies
+    /// before `change` — nothing that checkpoint has seen moved — or
+    /// from t = 0 when none does, and runs to completion, refilling the
+    /// ladder past the checkpoint.
+    fn resim(&mut self, d: usize, change: f64, now: f64) -> Result<(), EngineError> {
         let mut order = self.legs_by_device[d].clone();
         order.sort_by(|&a, &b| self.legs[a].at.total_cmp(&self.legs[b].at).then(a.cmp(&b)));
         let (sub, directives) = self.device_stream(d, &order);
-        let run = device_run(self.sim, d, &sub, &self.device_plans[d], &directives)?;
-        self.states[d] = Some(DeviceCache { run, order });
+        let kernel = &self.kernels[d];
+        let mut ladder = self.states[d].take().map(|c| c.ladder).unwrap_or_default();
+        ladder.truncate(ladder.partition_point(|s| s.horizon() < change));
+        let mut state = ladder
+            .last()
+            .cloned()
+            .unwrap_or_else(|| KernelState::new(kernel));
+        let mut last = state.horizon();
+        let mut taken = 0;
+        state.resume(kernel, &sub, &self.device_plans[d], &directives, &mut |s| {
+            let h = s.horizon();
+            if taken < CHECKPOINTS_PER_RESUME
+                && h >= now - CHECKPOINT_STRIDE_SECS
+                && h >= last + CHECKPOINT_STRIDE_SECS
+            {
+                last = h;
+                taken += 1;
+                ladder.push(s.clone());
+            }
+        })?;
+        // Later changes land at or after `now` (but for resolves that
+        // reach back to a winning finish): keep the newest checkpoint
+        // below it and every one ahead.
+        let behind = ladder.partition_point(|s| s.horizon() < now);
+        ladder.drain(..behind.saturating_sub(CHECKPOINTS_BEHIND));
+        let mut position = vec![usize::MAX; self.legs.len()];
+        for (pos, &id) in order.iter().enumerate() {
+            position[id] = pos;
+        }
+        self.states[d] = Some(DeviceCache {
+            done: state,
+            order,
+            position,
+            ladder,
+        });
         Ok(())
     }
 
@@ -562,12 +652,7 @@ impl<'a> FleetEngine<'a> {
     fn record(&self, id: usize) -> &ServedRequest {
         let d = self.legs[id].device;
         let cache = self.states[d].as_ref().expect("device simulated");
-        let pos = cache
-            .order
-            .iter()
-            .position(|&x| x == id)
-            .expect("leg in order");
-        &cache.run.served[pos]
+        cache.done.served(cache.position[id])
     }
 
     /// Whether device `d` is inside a crash outage at `t`.
@@ -753,7 +838,7 @@ impl<'a> FleetEngine<'a> {
         // Make sure even leg-less devices have an (empty) timeline.
         for d in 0..self.sim.devices.len() {
             if self.states[d].is_none() {
-                self.resim(d)?;
+                self.resim(d, f64::INFINITY, f64::INFINITY)?;
             }
         }
         Ok(())
@@ -773,7 +858,7 @@ impl<'a> FleetEngine<'a> {
             role: LegRole::Primary,
             partner: None,
         });
-        self.resim(device)?;
+        self.resim(device, at, a.at)?;
         self.arm_hedge(id, at);
         Ok(())
     }
@@ -801,7 +886,7 @@ impl<'a> FleetEngine<'a> {
         for &(id, _) in &interrupted {
             self.legs[id].cancel_at = self.legs[id].cancel_at.min(t);
         }
-        self.resim(d)?;
+        self.resim(d, t, t)?;
 
         for (id, had_started) in interrupted {
             let leg = self.legs[id];
@@ -813,7 +898,7 @@ impl<'a> FleetEngine<'a> {
                 if p.device != d && p.cancel_at > t {
                     if p.cancel_at.is_finite() {
                         self.legs[pid].cancel_at = f64::INFINITY;
-                        self.resim(p.device)?;
+                        self.resim(p.device, p.cancel_at, t)?;
                     }
                     continue;
                 }
@@ -853,7 +938,7 @@ impl<'a> FleetEngine<'a> {
                 partner: None,
             });
             self.migrations += 1;
-            self.resim(target)?;
+            self.resim(target, at, t)?;
             self.arm_hedge(nid, at);
         }
         Ok(())
@@ -882,7 +967,7 @@ impl<'a> FleetEngine<'a> {
             partner: Some(id),
         });
         self.legs[id].partner = Some(hid);
-        self.resim(target)?;
+        self.resim(target, at, t)?;
         let pair = self.pairs.len();
         self.pairs.push((id, hid));
         if let Some(win) = self.pair_winner_finish(pair) {
@@ -941,37 +1026,26 @@ impl<'a> FleetEngine<'a> {
         // primary — the hedge is pure insurance.
         let loser = if h_fin < p_fin { p } else { h };
         self.legs[loser].cancel_at = win;
-        self.resim(self.legs[loser].device)?;
+        self.resim(self.legs[loser].device, win, t)?;
         Ok(())
     }
 
-    /// Authoritative parallel execution of every device timeline plus
-    /// fleet-level record assembly.
-    fn finish(mut self, crash_downtime_secs: f64) -> Result<FleetRun, EngineError> {
-        let devices: Vec<usize> = (0..self.sim.devices.len()).collect();
-        let runs: Vec<Result<(BatchRun, Vec<usize>), EngineError>> =
-            parallel_map(&devices, |_, &d| {
+    /// Fleet-level record assembly over the sequential caches, which
+    /// are the result. Debug builds re-run every device from t = 0 on
+    /// the parallel sweep harness and assert the replay equals the
+    /// resumed cache on the full fingerprint.
+    fn finish(self, crash_downtime_secs: f64) -> Result<FleetRun, EngineError> {
+        let device_inputs: Vec<DeviceInput> = (0..self.sim.devices.len())
+            .map(|d| {
                 let cache = self.states[d].as_ref().expect("device simulated");
-                let order = cache.order.clone();
-                let (sub, directives) = self.device_stream(d, &order);
-                let run = device_run(self.sim, d, &sub, &self.device_plans[d], &directives)?;
-                Ok((run, order))
-            });
-        let mut device_runs = Vec::with_capacity(devices.len());
-        for (d, r) in runs.into_iter().enumerate() {
-            let (run, order) = r?;
-            let cached = self.states[d].as_ref().expect("device simulated");
-            debug_assert!(
-                runs_equivalent(&cached.run, &run),
-                "parallel re-execution must be bit-identical to the sequential cache"
-            );
-            self.states[d] = Some(DeviceCache {
-                run: run.clone(),
-                order,
-            });
-            device_runs.push(run);
-        }
-
+                let (arrivals, directives) = self.device_stream(d, &cache.order);
+                DeviceInput {
+                    arrivals,
+                    plan: self.device_plans[d].clone(),
+                    directives,
+                }
+            })
+            .collect();
         // Per-request winner selection and migration accounting.
         let mut served = Vec::with_capacity(self.arrivals.len());
         let mut serving_device = Vec::with_capacity(self.arrivals.len());
@@ -981,10 +1055,11 @@ impl<'a> FleetEngine<'a> {
             .iter()
             .filter(|l| l.role == LegRole::Hedge)
             .count() as u64;
-        for req in 0..self.arrivals.len() {
-            let legs_of: Vec<usize> = (0..self.legs.len())
-                .filter(|&id| self.legs[id].req == req)
-                .collect();
+        let mut legs_by_req: Vec<Vec<usize>> = vec![Vec::new(); self.arrivals.len()];
+        for (id, l) in self.legs.iter().enumerate() {
+            legs_by_req[l.req].push(id);
+        }
+        for (req, legs_of) in legs_by_req.iter().enumerate() {
             let winner = legs_of
                 .iter()
                 .copied()
@@ -1035,6 +1110,22 @@ impl<'a> FleetEngine<'a> {
             }
         }
         let hedges_wasted = hedges_launched - hedges_won;
+        let device_runs: Vec<BatchRun> = self
+            .states
+            .into_iter()
+            .map(|c| c.expect("device simulated").done.into_run())
+            .collect();
+        if cfg!(debug_assertions) {
+            let sim = self.sim;
+            let replays = parallel_map(&device_inputs, |d, input| sim.replay_device(d, input));
+            for (d, replay) in replays.into_iter().enumerate() {
+                assert_eq!(
+                    replay?.full_fingerprint(),
+                    device_runs[d].full_fingerprint(),
+                    "device {d}: the resumed cache must equal a replay from t = 0"
+                );
+            }
+        }
         Ok(FleetRun {
             device_runs,
             served,
@@ -1044,27 +1135,9 @@ impl<'a> FleetEngine<'a> {
             hedges_won,
             hedges_wasted,
             crash_downtime_secs,
+            device_inputs,
         })
     }
-}
-
-/// Bit-equivalence of two device runs on every scheduler-visible
-/// surface (used to assert the parallel final pass reproduces the
-/// sequential caches).
-fn runs_equivalent(a: &BatchRun, b: &BatchRun) -> bool {
-    a.served.len() == b.served.len()
-        && a.rounds == b.rounds
-        && a.group_iters == b.group_iters
-        && a.preemptions == b.preemptions
-        && a.shed == b.shed
-        && a.cancelled == b.cancelled
-        && a.kv_tier_hits == b.kv_tier_hits
-        && a.served.iter().zip(&b.served).all(|(x, y)| {
-            x.started_at == y.started_at
-                && x.finished_at == y.finished_at
-                && x.shed == y.shed
-                && x.outcome.answer == y.outcome.answer
-        })
 }
 
 #[cfg(test)]

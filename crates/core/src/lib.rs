@@ -84,6 +84,7 @@ mod batch_server;
 mod eval;
 mod event_server;
 mod faults;
+mod fingerprint;
 mod fleet;
 mod memalloc;
 mod prefix_sched;
@@ -98,7 +99,8 @@ pub use event_server::{EventConfig, PrewarmPrefix, RunDirectives};
 pub use faults::{
     degraded_beams, FaultEvent, FaultKind, FaultPlan, FaultPolicy, RobustConfig, StormConfig,
 };
-pub use fleet::{FleetConfig, FleetRun, FleetSim, HedgeConfig, RoutePolicy};
+pub use fingerprint::served_fingerprint;
+pub use fleet::{DeviceInput, FleetConfig, FleetRun, FleetSim, HedgeConfig, RoutePolicy};
 pub use ftts_engine::{
     EngineError, RequestRun, RunPhase, SpecConfig, StepStatus, VerifyCharge, VerifyChunk,
 };

@@ -264,6 +264,10 @@ impl MemoryPlanner for RooflinePlanner {
             }
         }
     }
+
+    fn box_clone(&self) -> Box<dyn MemoryPlanner> {
+        Box::new(self.clone())
+    }
 }
 
 #[cfg(test)]

@@ -81,6 +81,10 @@ impl OrderPolicy for PrefixAwareOrder {
         }
         order
     }
+
+    fn box_clone(&self) -> Box<dyn OrderPolicy> {
+        Box::new(self.clone())
+    }
 }
 
 /// Adversarial ordering: each step picks the candidate sharing the
@@ -125,6 +129,10 @@ impl OrderPolicy for WorstCaseOrder {
             order.push(remaining.swap_remove(worst_pos));
         }
         order
+    }
+
+    fn box_clone(&self) -> Box<dyn OrderPolicy> {
+        Box::new(self.clone())
     }
 }
 

@@ -131,6 +131,47 @@
 //! probe). One iteration per member per launch is preserved — chunking
 //! splits the iteration's decode phase, not the TTS loop.
 //!
+//! # Resumable state
+//!
+//! Every loop local of the kernel lives in one crate-private, cloneable
+//! `KernelState`: the device floor and drained-device instant, the
+//! arrival and prewarm cursors, the waiting, paused and in-flight
+//! requests (each a `RequestRun` with its search driver), the
+//! [`PoolBudget`] ledger, the [`HostTier`], the fault cursor, the
+//! [`DeviceTimeline`], the per-arrival served records and every
+//! [`BatchRun`] counter. [`TimelineServerSim::run_directed`] is
+//! `KernelState::new` plus one `resume` to completion; there is no
+//! other loop. The inputs — arrivals, fault plan, directives — are not
+//! state: `resume` re-reads them, so a state may be resumed over inputs
+//! that changed.
+//!
+//! At the top of every iteration `resume` may hand out the state as a
+//! checkpoint, labelled with its **horizon**: the latest instant at
+//! which any earlier iteration read an input it had not ingested yet.
+//! A checkpoint is exactly what a run from t = 0 over changed inputs
+//! reaches at that boundary iff every change (an arrival, cancel or
+//! prewarm added, moved or removed) lies strictly after the horizon.
+//! The horizon covers:
+//!
+//! * each launch instant — arrivals and prewarms are ingested, and
+//!   cancels swept, at `at <= launch` (the anchor decision before it
+//!   reads the next arrival too, but the launch never precedes the
+//!   anchor, and the idle jump to the next arrival lands the launch
+//!   there);
+//! * each token-join chunk boundary, where arrivals `at <= boundary`
+//!   join the running launch;
+//! * a lone iteration's decode end: its speculation cut-off is the next
+//!   arrival, compared against the run clock at every decode segment.
+//!
+//! A device without cancels skips the cancel sweep, but a sweep with
+//! nothing due changes nothing, so a checkpoint taken before a
+//! device's first cancel stays valid for it. Finished records are
+//! shared between clones, and the timeline folds its final prefix
+//! (segments no later launch can overlap or stretch) into its
+//! roll-up, so a state costs about its in-flight runs. The fleet
+//! router keeps a short ladder of checkpoints per device
+//! ([`FleetSim`](crate::FleetSim)); plain runs take none.
+//!
 //! # Anchors
 //!
 //! Batch 1 is checked live against `ServerSim::run` in
@@ -141,6 +182,7 @@
 //! against `ServerSim` in `crates/core/tests/batch_properties.rs`.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use ftts_engine::{DecodeStatus, EngineError, RunPhase, StepStatus, VerifyCharge, VerifyChunk};
 use ftts_kv::{HostTier, PoolBudget};
@@ -181,14 +223,100 @@ pub struct Segment {
     pub seqs: usize,
 }
 
+/// Unfolded segments past which the kernel folds a timeline's final
+/// prefix into its roll-up.
+const FOLD_AT: usize = 256;
+
 /// The global per-device kernel timeline: every launch the scheduler
 /// commits lands here as a [`Segment`] on one shared clock, and
 /// segments already recorded can be retroactively stretched when a
 /// later launch overlaps them.
+///
+/// The scheduler kernel folds the timeline's final prefix — segments no
+/// later launch can overlap or stretch — into a running roll-up, so
+/// the timeline it carries stays as small as the in-flight work. The
+/// roll-up is bit-identical to one taken over every segment.
 #[derive(Debug, Clone, Default)]
 pub struct DeviceTimeline {
+    /// Segments from id `folded.summed` on, in record order.
     segments: Vec<Segment>,
     stretch_secs: f64,
+    folded: Folded,
+    /// Unfolded segment count at which the kernel folds next.
+    fold_at: usize,
+}
+
+/// The roll-up of a timeline's final prefix: the interval sweep over
+/// every segment event before `upto`, and the span and per-kind sums of
+/// the first `summed` segments (added in record order, as
+/// [`DeviceTimeline::occupancy`] adds them).
+#[derive(Debug, Clone)]
+struct Folded {
+    upto: f64,
+    summed: usize,
+    depth: i32,
+    max_depth: i32,
+    open_at: f64,
+    busy_secs: f64,
+    first: f64,
+    last: f64,
+    decode_secs: f64,
+    verify_secs: f64,
+    swap_secs: f64,
+}
+
+impl Default for Folded {
+    fn default() -> Self {
+        Self {
+            upto: f64::NEG_INFINITY,
+            summed: 0,
+            depth: 0,
+            max_depth: 0,
+            open_at: 0.0,
+            busy_secs: 0.0,
+            first: f64::INFINITY,
+            last: f64::NEG_INFINITY,
+            decode_secs: 0.0,
+            verify_secs: 0.0,
+            swap_secs: 0.0,
+        }
+    }
+}
+
+impl Folded {
+    /// Add one segment's duration and bounds.
+    fn sum(&mut self, s: &Segment) {
+        let dur = s.end - s.start;
+        match s.kind {
+            SegmentKind::Decode => self.decode_secs += dur,
+            SegmentKind::Verify => self.verify_secs += dur,
+            SegmentKind::Swap => self.swap_secs += dur,
+        }
+        self.first = self.first.min(s.start);
+        self.last = self.last.max(s.end);
+    }
+
+    /// Sweep segment start (`+1`) and end (`-1`) events, all later than
+    /// every event swept before, into the interval union. At equal
+    /// instants ends close before starts open, so back-to-back segments
+    /// never count as overlap.
+    fn sweep(&mut self, events: &mut [(f64, i32)]) {
+        events.sort_by(|a, b| {
+            a.0.partial_cmp(&b.0)
+                .expect("finite segment bounds")
+                .then(a.1.cmp(&b.1))
+        });
+        for &(t, d) in events.iter() {
+            if self.depth == 0 && d > 0 {
+                self.open_at = t;
+            }
+            self.depth += d;
+            if self.depth == 0 {
+                self.busy_secs += t - self.open_at;
+            }
+            self.max_depth = self.max_depth.max(self.depth);
+        }
+    }
 }
 
 impl DeviceTimeline {
@@ -197,13 +325,17 @@ impl DeviceTimeline {
     pub fn record(&mut self, start: f64, duration: f64, kind: SegmentKind, seqs: usize) -> usize {
         assert!(start.is_finite(), "segment start must be finite");
         assert!(duration >= 0.0, "segment duration must be non-negative");
+        debug_assert!(
+            start >= self.folded.upto,
+            "a segment never starts inside the folded prefix"
+        );
         self.segments.push(Segment {
             start,
             end: start + duration,
             kind,
             seqs,
         });
-        self.segments.len() - 1
+        self.folded.summed + self.segments.len() - 1
     }
 
     /// Retroactively stretch segment `id` by `extra` seconds — a later
@@ -211,13 +343,61 @@ impl DeviceTimeline {
     /// shrinks a segment.
     pub fn stretch(&mut self, id: usize, extra: f64) {
         assert!(extra >= 0.0, "stretch never shrinks a segment");
-        self.segments[id].end += extra;
+        assert!(id >= self.folded.summed, "folded segments are final");
+        let segment = &mut self.segments[id - self.folded.summed];
+        debug_assert!(
+            segment.end >= self.folded.upto,
+            "a stretched segment ends after the folded prefix"
+        );
+        segment.end += extra;
         self.stretch_secs += extra;
     }
 
-    /// The recorded segments, in record order.
+    /// The recorded segments not yet folded into the roll-up, in record
+    /// order — every segment of a timeline built outside the scheduler
+    /// kernel, where segment `id` sits at index `id`.
     pub fn segments(&self) -> &[Segment] {
         &self.segments
+    }
+
+    /// End instant of segment `id` (not folded yet).
+    pub(crate) fn end_of(&self, id: usize) -> f64 {
+        self.segments[id - self.folded.summed].end
+    }
+
+    /// Whether enough segments piled up since the last fold to fold
+    /// again.
+    pub(crate) fn wants_fold(&self) -> bool {
+        self.segments.len() >= self.fold_at.max(FOLD_AT)
+    }
+
+    /// Fold every segment event before `before` into the roll-up, and
+    /// drop the segments that leaves final. The caller guarantees that
+    /// no later segment starts before `before` and that only segments
+    /// ending at or after it are stretched later.
+    pub(crate) fn fold(&mut self, before: f64) {
+        self.fold_at = self.segments.len() + FOLD_AT;
+        let lo = self.folded.upto;
+        if before <= lo {
+            return;
+        }
+        let mut events: Vec<(f64, i32)> = Vec::new();
+        for s in &self.segments {
+            if s.start >= lo && s.start < before {
+                events.push((s.start, 1));
+            }
+            if s.end >= lo && s.end < before {
+                events.push((s.end, -1));
+            }
+        }
+        self.folded.sweep(&mut events);
+        self.folded.upto = before;
+        let done = self.segments.iter().take_while(|s| s.end < before).count();
+        for s in &self.segments[..done] {
+            self.folded.sum(s);
+        }
+        self.segments.drain(..done);
+        self.folded.summed += done;
     }
 
     /// Total retroactive stretch applied so far, seconds.
@@ -229,52 +409,32 @@ impl DeviceTimeline {
     /// busy sums, the overlap-aware busy union and the peak overlap
     /// depth.
     pub fn occupancy(&self) -> TimelineOccupancy {
-        if self.segments.is_empty() {
+        let count = self.folded.summed + self.segments.len();
+        if count == 0 {
             return TimelineOccupancy::default();
         }
-        let mut occ = TimelineOccupancy {
-            segments: self.segments.len() as u64,
-            stretch_secs: self.stretch_secs,
-            ..Default::default()
-        };
-        let mut first = f64::INFINITY;
-        let mut last = f64::NEG_INFINITY;
+        let mut f = self.folded.clone();
         let mut events: Vec<(f64, i32)> = Vec::with_capacity(self.segments.len() * 2);
         for s in &self.segments {
-            let dur = s.end - s.start;
-            match s.kind {
-                SegmentKind::Decode => occ.decode_secs += dur,
-                SegmentKind::Verify => occ.verify_secs += dur,
-                SegmentKind::Swap => occ.swap_secs += dur,
+            f.sum(s);
+            if s.start >= f.upto {
+                events.push((s.start, 1));
             }
-            first = first.min(s.start);
-            last = last.max(s.end);
-            events.push((s.start, 1));
-            events.push((s.end, -1));
+            if s.end >= f.upto {
+                events.push((s.end, -1));
+            }
         }
-        occ.span_secs = (last - first).max(0.0);
-        // Sweep the interval union; at equal instants ends close before
-        // starts open, so back-to-back segments never count as overlap.
-        events.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("finite segment bounds")
-                .then(a.1.cmp(&b.1))
-        });
-        let mut depth = 0i32;
-        let mut max_depth = 0i32;
-        let mut open_at = 0.0f64;
-        for (t, d) in events {
-            if depth == 0 && d > 0 {
-                open_at = t;
-            }
-            depth += d;
-            if depth == 0 {
-                occ.busy_secs += t - open_at;
-            }
-            max_depth = max_depth.max(depth);
+        f.sweep(&mut events);
+        TimelineOccupancy {
+            span_secs: (f.last - f.first).max(0.0),
+            busy_secs: f.busy_secs,
+            decode_secs: f.decode_secs,
+            verify_secs: f.verify_secs,
+            swap_secs: f.swap_secs,
+            stretch_secs: self.stretch_secs,
+            segments: count as u64,
+            max_concurrency: f.max_depth.max(0) as u32,
         }
-        occ.max_concurrency = max_depth.max(0) as u32;
-        occ
     }
 }
 
@@ -472,59 +632,186 @@ impl TimelineServerSim {
     ///
     /// Propagates [`EngineError`] when a request cannot fit even with
     /// the entire pool to itself.
-    #[allow(clippy::too_many_lines)]
     pub fn run_directed(
         &self,
         arrivals: &[RequestArrival],
         plan: &FaultPlan,
         directives: &RunDirectives,
     ) -> Result<BatchRun, EngineError> {
-        debug_assert!(
-            arrivals.windows(2).all(|w| w[0].at <= w[1].at),
-            "arrival times must be non-decreasing"
-        );
-        let batch = &self.config.event.batch;
-        let window = self.config.event.window_secs;
-        let lockstep = window.is_infinite();
-        let pool_bytes = self.server.config().kv_budget_bytes();
-        let device = self.server.config().device.clone();
-        let gen_bpt = self.server.config().models.gen_spec.kv_bytes_per_token();
+        let mut state = KernelState::new(self);
+        state.resume(self, arrivals, plan, directives, &mut |_| {})?;
+        Ok(state.into_run())
+    }
+}
+
+/// The kernel loop's whole state at an iteration boundary: the device
+/// clock and floor, the ingestion cursors, the queues and in-flight
+/// runs, the KV ledger, host tier, fault cursor, device timeline and
+/// every [`BatchRun`] counter. See "Resumable state" in the module
+/// docs.
+///
+/// The inputs — arrivals, fault plan and directives — are not part of
+/// the state: [`KernelState::resume`] re-reads them, so a state can be
+/// resumed over inputs that changed after its
+/// [`KernelState::horizon`].
+#[derive(Clone)]
+pub(crate) struct KernelState {
+    /// Earliest instant the next launch may happen: raised by
+    /// preemption PCIe transfers, by completions that drain the device,
+    /// and (in lockstep mode) by every launch's round end.
+    floor: f64,
+    /// Latest completion instant seen — the device-drained floor.
+    finish_max: f64,
+    /// Arrivals ingested so far (a prefix of the stream).
+    next_arrival: usize,
+    /// Prewarm directives published so far (a prefix, in time order).
+    prewarm_next: usize,
+    waiting: VecDeque<usize>,
+    paused: VecDeque<InFlight>,
+    active: Vec<InFlight>,
+    /// One slot per ingested arrival, filled when it completes, is
+    /// shed or is cancelled. Filled slots never change, so clones of
+    /// the state share them.
+    served: Vec<Option<Arc<ServedRequest>>>,
+    pool_bytes: u64,
+    pool: PoolBudget,
+    tier: HostTier,
+    cursor: FaultCursor,
+    /// The global device timeline; each in-flight request carries its
+    /// latest decode segment (`InFlight::last_seg`), the stretch target
+    /// when a later launch overlaps its iteration.
+    timeline: DeviceTimeline,
+    admit_seq: u64,
+    rounds: u64,
+    group_iters: u64,
+    preemptions: u32,
+    ver_sweeps: u64,
+    ver_seqs: u64,
+    ver_busy_secs: f64,
+    kernel_faults: u32,
+    fault_retries: u32,
+    kv_loss_events: u32,
+    lost_blocks: u64,
+    shed: u32,
+    cancelled: u32,
+    degradations: u32,
+    tier_dropped: u64,
+    /// Latest instant at which an iteration so far read an input it
+    /// had not yet ingested (`-∞` before the first launch).
+    horizon: f64,
+}
+
+impl KernelState {
+    /// The state before the first iteration of `sim`.
+    pub(crate) fn new(sim: &TimelineServerSim) -> Self {
+        let batch = &sim.config.event.batch;
+        let pool_bytes = sim.server.config().kv_budget_bytes();
         let mut pool = PoolBudget::new(pool_bytes);
         if let Some(policy) = batch.tenants {
             for spec in policy.specs() {
                 pool.set_tenant_cap(u64::from(spec.id), spec.kv_cap_bytes);
             }
         }
-        let mut tier = HostTier::new(batch.tier);
-        // Earliest instant the next launch may happen: raised by
-        // preemption PCIe transfers, by completions that drain the
-        // device, and (in lockstep mode) by every launch's round end.
-        let mut floor = 0.0f64;
-        // Latest completion instant seen — the device-drained floor.
-        let mut finish_max = 0.0f64;
-        let mut next_arrival = 0usize;
-        let mut waiting: VecDeque<usize> = VecDeque::new();
-        let mut paused: VecDeque<InFlight> = VecDeque::new();
-        let mut active: Vec<InFlight> = Vec::new();
-        let mut served: Vec<Option<ServedRequest>> = (0..arrivals.len()).map(|_| None).collect();
-        let mut admit_seq = 0u64;
-        let mut rounds = 0u64;
-        let mut group_iters = 0u64;
-        let mut preemptions = 0u32;
-        let mut ver_sweeps = 0u64;
-        let mut ver_seqs = 0u64;
-        let mut ver_busy_secs = 0.0f64;
-        let mut cursor = FaultCursor::default();
-        let mut kernel_faults = 0u32;
-        let mut fault_retries = 0u32;
-        let mut kv_loss_events = 0u32;
-        let mut lost_blocks = 0u64;
-        let mut shed = 0u32;
-        let mut cancelled = 0u32;
-        let mut degradations = 0u32;
-        let mut tier_dropped = 0u64;
+        Self {
+            floor: 0.0,
+            finish_max: 0.0,
+            next_arrival: 0,
+            prewarm_next: 0,
+            waiting: VecDeque::new(),
+            paused: VecDeque::new(),
+            active: Vec::new(),
+            served: Vec::new(),
+            pool_bytes,
+            pool,
+            tier: HostTier::new(batch.tier),
+            cursor: FaultCursor::default(),
+            timeline: DeviceTimeline::default(),
+            admit_seq: 0,
+            rounds: 0,
+            group_iters: 0,
+            preemptions: 0,
+            ver_sweeps: 0,
+            ver_seqs: 0,
+            ver_busy_secs: 0.0,
+            kernel_faults: 0,
+            fault_retries: 0,
+            kv_loss_events: 0,
+            lost_blocks: 0,
+            shed: 0,
+            cancelled: 0,
+            degradations: 0,
+            tier_dropped: 0,
+            horizon: f64::NEG_INFINITY,
+        }
+    }
+
+    /// The latest instant any iteration so far read an input it had
+    /// not yet ingested. The state is exactly what a run from t = 0
+    /// over changed inputs would reach at this iteration boundary,
+    /// provided every change (an arrival, cancel or prewarm added,
+    /// moved or removed) lies strictly after the horizon.
+    pub(crate) fn horizon(&self) -> f64 {
+        self.horizon
+    }
+
+    /// The record of served arrival `idx`.
+    pub(crate) fn served(&self, idx: usize) -> &ServedRequest {
+        self.served[idx].as_deref().expect("arrival served")
+    }
+
+    /// Move arrivals due by `t` onto the waiting queue.
+    fn ingest(&mut self, arrivals: &[RequestArrival], t: f64) {
+        while self.next_arrival < arrivals.len() && arrivals[self.next_arrival].at <= t {
+            self.waiting.push_back(self.next_arrival);
+            self.served.push(None);
+            self.next_arrival += 1;
+        }
+    }
+
+    /// Run the kernel loop from this state until every arrival is
+    /// served, handing `checkpoint` the state at the top of every
+    /// iteration. `arrivals`, `plan` and `directives` must agree with
+    /// the inputs the state was built from up to its horizon, and
+    /// `sim` must be the simulator it was created for.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`EngineError`] when a request cannot fit even with
+    /// the entire pool to itself.
+    #[allow(clippy::too_many_lines)]
+    pub(crate) fn resume(
+        &mut self,
+        sim: &TimelineServerSim,
+        arrivals: &[RequestArrival],
+        plan: &FaultPlan,
+        directives: &RunDirectives,
+        checkpoint: &mut dyn FnMut(&KernelState),
+    ) -> Result<(), EngineError> {
+        debug_assert!(
+            arrivals.windows(2).all(|w| w[0].at <= w[1].at),
+            "arrival times must be non-decreasing"
+        );
+        debug_assert!(
+            arrivals[..self.next_arrival]
+                .iter()
+                .all(|a| a.at <= self.horizon),
+            "every ingested arrival lies within the horizon"
+        );
+        let batch = &sim.config.event.batch;
+        let window = sim.config.event.window_secs;
+        let lockstep = window.is_infinite();
+        let device = sim.server.config().device.clone();
+        let gen_bpt = sim.server.config().models.gen_spec.kv_bytes_per_token();
+        let ctx = SchedCtx {
+            server: &sim.server,
+            n: sim.n,
+            kind: sim.kind,
+            config: batch,
+        };
         // Directed cancels: earliest instant per arrival index (∞ =
-        // never), applied at launch boundaries like deadline sweeps.
+        // never), applied at launch boundaries like deadline sweeps. A
+        // device without cancels skips the sweep, which with nothing
+        // due changes nothing.
         let has_cancels = !directives.cancels.is_empty();
         let mut cancel_at = vec![f64::INFINITY; arrivals.len()];
         for &(idx, t) in &directives.cancels {
@@ -533,28 +820,41 @@ impl TimelineServerSim {
         }
         let mut prewarms = directives.prewarms.clone();
         prewarms.sort_by(|a, b| a.at.partial_cmp(&b.at).expect("finite prewarm times"));
-        let mut prewarm_next = 0usize;
-        // The global device timeline; each in-flight request carries
-        // its latest decode segment (`InFlight::last_seg`), the stretch
-        // target when a later launch overlaps its iteration.
-        let mut timeline = DeviceTimeline::default();
 
         loop {
+            if self.timeline.wants_fold() {
+                // Later segments start at or after the floor, and only
+                // in-flight runs' latest segments are ever stretched.
+                let open = self
+                    .active
+                    .iter()
+                    .chain(&self.paused)
+                    .filter_map(|a| a.last_seg)
+                    .map(|id| self.timeline.end_of(id))
+                    .fold(self.floor, f64::min);
+                self.timeline.fold(open);
+            }
+            checkpoint(self);
             // Next decision instant: the earliest ready request, or the
             // next arrival.
-            let next_ready = active
+            let next_ready = self
+                .active
                 .iter()
                 .map(InFlight::ready_at)
                 .fold(f64::INFINITY, f64::min);
-            let next_arr = arrivals.get(next_arrival).map_or(f64::INFINITY, |a| a.at);
+            let next_arr = arrivals
+                .get(self.next_arrival)
+                .map_or(f64::INFINITY, |a| a.at);
 
-            if active.is_empty() {
-                floor = floor.max(finish_max);
-                if waiting.is_empty() && paused.is_empty() {
-                    if next_arrival >= arrivals.len() {
+            if self.active.is_empty() {
+                self.floor = self.floor.max(self.finish_max);
+                if self.waiting.is_empty() && self.paused.is_empty() {
+                    if self.next_arrival >= arrivals.len() {
                         break; // everything served
                     }
-                    floor = floor.max(next_arr);
+                    // Idle: jump to the next arrival (the launch below
+                    // lands there, which puts it inside the horizon).
+                    self.floor = self.floor.max(next_arr);
                 }
             }
 
@@ -562,12 +862,12 @@ impl TimelineServerSim {
             // pending arrival anchors its own launch only when mid-flight
             // admission could take it; otherwise it is ingested when the
             // next ready-driven launch forms.
-            let arrival_anchor = next_arr.max(floor);
+            let arrival_anchor = next_arr.max(self.floor);
             let consider_arrival = batch.admit_mid_flight
-                && active.len() < batch.max_batch
+                && self.active.len() < batch.max_batch
                 && arrival_anchor < next_ready;
-            let anchor = if active.is_empty() {
-                floor
+            let anchor = if self.active.is_empty() {
+                self.floor
             } else if consider_arrival {
                 arrival_anchor
             } else {
@@ -577,11 +877,11 @@ impl TimelineServerSim {
             // Group: every in-flight request ready inside the window. The
             // partition is stable, so the group keeps admission order
             // (the order shares resize and unfused sweeps serialize in).
-            let horizon = anchor + window;
+            let window_end = anchor + window;
             let mut group: Vec<InFlight> = Vec::new();
             let mut rest: Vec<InFlight> = Vec::new();
-            for a in active.drain(..) {
-                if a.ready_at() <= horizon {
+            for a in self.active.drain(..) {
+                if a.ready_at() <= window_end {
                     group.push(a);
                 } else {
                     rest.push(a);
@@ -594,7 +894,7 @@ impl TimelineServerSim {
             let mut launch = group
                 .iter()
                 .map(InFlight::ready_at)
-                .fold(anchor.max(floor), f64::max);
+                .fold(anchor.max(self.floor), f64::max);
             for a in &mut group {
                 if lockstep {
                     admission::pad_to_barrier(a, launch);
@@ -603,20 +903,16 @@ impl TimelineServerSim {
                 }
             }
 
-            while next_arrival < arrivals.len() && arrivals[next_arrival].at <= launch {
-                waiting.push_back(next_arrival);
-                next_arrival += 1;
-            }
-            let ctx = SchedCtx {
-                server: &self.server,
-                n: self.n,
-                kind: self.kind,
-                config: batch,
-            };
-            while prewarm_next < prewarms.len() && prewarms[prewarm_next].at <= launch {
-                let p = prewarms[prewarm_next];
-                tier.publish_prefix(p.key, p.tokens, p.bytes);
-                prewarm_next += 1;
+            // The launch instant ingests arrivals and prewarms due by it
+            // and sweeps cancels due by it. (The anchor decision above
+            // read the next arrival too, but the launch never precedes
+            // the anchor, so this covers it.)
+            self.horizon = self.horizon.max(launch);
+            self.ingest(arrivals, launch);
+            while self.prewarm_next < prewarms.len() && prewarms[self.prewarm_next].at <= launch {
+                let p = prewarms[self.prewarm_next];
+                self.tier.publish_prefix(p.key, p.tokens, p.bytes);
+                self.prewarm_next += 1;
             }
             if has_cancels {
                 let sweep = admission::apply_cancels(
@@ -624,32 +920,32 @@ impl TimelineServerSim {
                     &cancel_at,
                     launch,
                     arrivals,
-                    &mut waiting,
-                    &mut paused,
+                    &mut self.waiting,
+                    &mut self.paused,
                     &mut group,
                     &mut rest,
-                    &mut pool,
-                    &mut tier,
-                    &mut served,
+                    &mut self.pool,
+                    &mut self.tier,
+                    &mut self.served,
                 );
-                shed += sweep.shed;
-                cancelled += sweep.cancelled;
+                self.shed += sweep.shed;
+                self.cancelled += sweep.cancelled;
             }
             let sweep = admission::enforce_slo(
                 &ctx,
                 launch,
-                pool_bytes,
+                self.pool_bytes,
                 arrivals,
-                &mut waiting,
-                &mut paused,
+                &mut self.waiting,
+                &mut self.paused,
                 &mut group,
                 &mut rest,
-                &mut pool,
-                &mut tier,
-                &mut served,
+                &mut self.pool,
+                &mut self.tier,
+                &mut self.served,
             );
-            shed += sweep.shed;
-            cancelled += sweep.cancelled;
+            self.shed += sweep.shed;
+            self.cancelled += sweep.cancelled;
             // Admission only appends to the group, so `group[before..]`
             // is the device load this launch adds.
             let before = group.len();
@@ -657,35 +953,35 @@ impl TimelineServerSim {
                 &ctx,
                 &mut group,
                 &mut rest,
-                &mut paused,
-                &mut waiting,
-                &mut pool,
-                &mut tier,
+                &mut self.paused,
+                &mut self.waiting,
+                &mut self.pool,
+                &mut self.tier,
                 arrivals,
                 launch,
-                &mut admit_seq,
+                &mut self.admit_seq,
             )?;
-            degradations += report.degradations;
+            self.degradations += report.degradations;
             if report.admitted && admission::elastic(batch) {
-                admission::rebalance_elastic(batch, &mut group, &mut rest, &mut pool);
+                admission::rebalance_elastic(batch, &mut group, &mut rest, &mut self.pool);
             }
             // Retroactive contention on the bystanders this launch
             // overlaps. (With an infinite window the rest is always
             // empty — lockstep mode needs no special case.)
-            if self.config.contention && report.admitted {
-                stretch_bystanders(&group[before..], &mut rest, launch, &mut timeline);
+            if sim.config.contention && report.admitted {
+                stretch_bystanders(&group[before..], &mut rest, launch, &mut self.timeline);
             }
 
             if group.is_empty() && rest.is_empty() {
-                if waiting.is_empty() && paused.is_empty() {
+                if self.waiting.is_empty() && self.paused.is_empty() {
                     continue; // idle to the next arrival (or done)
                 }
-                let p = paused.front().expect("paused candidate");
+                let p = self.paused.front().expect("paused candidate");
                 let (needed, capacity) = p.run.kv_demand();
                 return Err(EngineError::PathExceedsMemory { needed, capacity });
             }
             if group.is_empty() {
-                active = rest;
+                self.active = rest;
                 continue;
             }
 
@@ -703,10 +999,10 @@ impl TimelineServerSim {
                     .map(|(i, _)| i);
                 let Some(vi) = victim else { break };
                 let mut v = group.remove(vi);
-                let bytes = if tier.enabled() {
-                    let (swapped, dropped) = v.run.preempt_capped(tier.available_bytes());
-                    tier.park(v.idx as u64, swapped);
-                    tier_dropped += dropped;
+                let bytes = if self.tier.enabled() {
+                    let (swapped, dropped) = v.run.preempt_capped(self.tier.available_bytes());
+                    self.tier.park(v.idx as u64, swapped);
+                    self.tier_dropped += dropped;
                     swapped
                 } else {
                     v.run.preempt()
@@ -714,29 +1010,32 @@ impl TimelineServerSim {
                 let swap_start = launch;
                 launch += device.pcie_transfer_seconds(bytes);
                 if launch > swap_start {
-                    timeline.record(swap_start, launch - swap_start, SegmentKind::Swap, 1);
+                    self.timeline
+                        .record(swap_start, launch - swap_start, SegmentKind::Swap, 1);
                 }
-                pool.release(v.idx as u64);
+                self.pool.release(v.idx as u64);
                 v.preemptions += 1;
-                preemptions += 1;
+                self.preemptions += 1;
                 v.paused_at = launch;
                 v.probe = None;
-                paused.push_back(v);
-                admission::reshare(batch, &mut group, &mut rest, &mut pool);
+                self.paused.push_back(v);
+                admission::reshare(batch, &mut group, &mut rest, &mut self.pool);
             }
             // The launch (with any preemption PCIe time) is committed
             // device time: later launches never precede it.
-            floor = floor.max(launch);
+            self.floor = self.floor.max(launch);
             if group.is_empty() {
-                active = rest;
+                self.active = rest;
                 continue;
             }
 
-            rounds += 1;
-            group_iters += group.len() as u64;
-            let alone =
-                group.len() == 1 && rest.is_empty() && waiting.is_empty() && paused.is_empty();
-            let next_at = arrivals.get(next_arrival).map(|a| a.at);
+            self.rounds += 1;
+            self.group_iters += group.len() as u64;
+            let alone = group.len() == 1
+                && rest.is_empty()
+                && self.waiting.is_empty()
+                && self.paused.is_empty();
+            let next_at = arrivals.get(self.next_arrival).map(|a| a.at);
             let mut round_end = launch;
             let mut finished: Vec<usize> = Vec::new();
 
@@ -748,7 +1047,7 @@ impl TimelineServerSim {
             // in-flight set: requests outside the launch are
             // mid-iteration and share the weight sweep.
             let mut planned: Vec<bool>;
-            if self.config.token_joins {
+            if sim.config.token_joins {
                 planned = vec![true; group.len()];
                 let mut gen_done: Vec<bool> = group.iter().map(|a| a.run.is_finished()).collect();
                 for (i, done) in gen_done.iter().enumerate() {
@@ -756,7 +1055,7 @@ impl TimelineServerSim {
                         planned[i] = false;
                     }
                 }
-                let quantum = self.config.join_quantum;
+                let quantum = sim.config.join_quantum;
                 loop {
                     // Re-derive the co-batch every chunk: membership
                     // (joins, early generation finishes) and context
@@ -771,9 +1070,9 @@ impl TimelineServerSim {
                     let total_ctx: u64 = loads.iter().map(|l| l.1).sum::<u64>() + rest_ctx;
                     let chunk_alone = group.len() == 1
                         && rest.is_empty()
-                        && waiting.is_empty()
-                        && paused.is_empty();
-                    let chunk_next_at = arrivals.get(next_arrival).map(|a| a.at);
+                        && self.waiting.is_empty()
+                        && self.paused.is_empty();
+                    let chunk_next_at = arrivals.get(self.next_arrival).map(|a| a.at);
                     let mut chunk_end: Vec<Option<f64>> = vec![None; group.len()];
                     let mut any = false;
                     for (i, a) in group.iter_mut().enumerate() {
@@ -822,7 +1121,7 @@ impl TimelineServerSim {
                         let status = a.run.apply_decode_chunk(a.driver.as_mut())?;
                         let seg_end = a.started_at + a.run.clock();
                         if seg_end > seg_start {
-                            let id = timeline.record(
+                            let id = self.timeline.record(
                                 seg_start,
                                 seg_end - seg_start,
                                 SegmentKind::Decode,
@@ -842,40 +1141,40 @@ impl TimelineServerSim {
                     }
                     // Token-granularity join: arrivals due by the
                     // boundary admit into the running decode batch here
-                    // instead of waiting out the whole launch.
-                    while next_arrival < arrivals.len() && arrivals[next_arrival].at <= boundary {
-                        waiting.push_back(next_arrival);
-                        next_arrival += 1;
-                    }
+                    // instead of waiting out the whole launch. (A lone
+                    // chunk's speculation cut-off read the next arrival
+                    // at the chunk's start, before the boundary.)
+                    self.horizon = self.horizon.max(boundary);
+                    self.ingest(arrivals, boundary);
                     if group.len() + rest.len() < batch.max_batch
-                        && !(waiting.is_empty() && paused.is_empty())
+                        && !(self.waiting.is_empty() && self.paused.is_empty())
                     {
                         let before = group.len();
                         let report = admission::admit(
                             &ctx,
                             &mut group,
                             &mut rest,
-                            &mut paused,
-                            &mut waiting,
-                            &mut pool,
-                            &mut tier,
+                            &mut self.paused,
+                            &mut self.waiting,
+                            &mut self.pool,
+                            &mut self.tier,
                             arrivals,
                             boundary,
-                            &mut admit_seq,
+                            &mut self.admit_seq,
                         )?;
-                        degradations += report.degradations;
+                        self.degradations += report.degradations;
                         if group.len() > before {
-                            group_iters += (group.len() - before) as u64;
+                            self.group_iters += (group.len() - before) as u64;
                             for _ in before..group.len() {
                                 gen_done.push(false);
                                 planned.push(true);
                             }
-                            if self.config.contention {
+                            if sim.config.contention {
                                 stretch_bystanders(
                                     &group[before..],
                                     &mut rest,
                                     boundary,
-                                    &mut timeline,
+                                    &mut self.timeline,
                                 );
                             }
                         }
@@ -904,8 +1203,14 @@ impl TimelineServerSim {
                     let seg_start = a.started_at + a.run.clock();
                     planned.push(!a.run.plan_iteration(a.driver.as_mut())?.is_finished());
                     let seg_end = a.started_at + a.run.clock();
+                    if alone {
+                        // The speculation cut-off (the next arrival)
+                        // was compared against the run clock at every
+                        // decode segment of the phase.
+                        self.horizon = self.horizon.max(seg_end);
+                    }
                     if seg_end > seg_start {
-                        let id = timeline.record(
+                        let id = self.timeline.record(
                             seg_start,
                             seg_end - seg_start,
                             SegmentKind::Decode,
@@ -934,15 +1239,15 @@ impl TimelineServerSim {
             let mut charges: Vec<Vec<VerifyCharge>> = vec![Vec::new(); group.len()];
             let sweep =
                 admission::cost_verify_sweeps(batch.fused_verify, &mut group, &plans, &mut charges);
-            ver_sweeps += sweep.sweeps;
-            ver_seqs += sweep.seqs;
-            ver_busy_secs += sweep.busy_secs;
+            self.ver_sweeps += sweep.sweeps;
+            self.ver_seqs += sweep.seqs;
+            self.ver_busy_secs += sweep.busy_secs;
             if sweep.busy_secs > 0.0 {
                 let verify_start = group
                     .iter()
                     .map(|a| a.started_at + a.run.clock())
                     .fold(f64::INFINITY, f64::min);
-                timeline.record(
+                self.timeline.record(
                     verify_start,
                     sweep.busy_secs,
                     SegmentKind::Verify,
@@ -976,10 +1281,10 @@ impl TimelineServerSim {
             // bucket in proportion to each member's busy seconds; device
             // KV loss hits every device-resident request, bystanders
             // included. Swapped-out requests survive in host RAM.
-            let faults = LaunchFaults::at(&mut cursor, plan, &batch.robust, launch);
+            let faults = LaunchFaults::at(&mut self.cursor, plan, &batch.robust, launch);
             if faults.fired() {
-                kernel_faults += faults.kernel_faults;
-                fault_retries += faults.retries;
+                self.kernel_faults += faults.kernel_faults;
+                self.fault_retries += faults.retries;
                 for a in group.iter_mut() {
                     let dt = (a.started_at + a.run.clock() - launch).max(0.0);
                     a.run
@@ -996,9 +1301,9 @@ impl TimelineServerSim {
                     }
                 }
                 if faults.kv_losses > 0 {
-                    kv_loss_events += faults.kv_losses;
+                    self.kv_loss_events += faults.kv_losses;
                     for a in group.iter_mut().chain(rest.iter_mut()) {
-                        lost_blocks += a.run.lose_device_kv();
+                        self.lost_blocks += a.run.lose_device_kv();
                     }
                 }
                 round_end = group
@@ -1009,16 +1314,16 @@ impl TimelineServerSim {
             // In lockstep mode the round end is the barrier: nothing,
             // not even the next admission, happens before it.
             if lockstep {
-                floor = floor.max(round_end);
+                self.floor = self.floor.max(round_end);
             }
 
             // Completions leave at their own finish instant and offer
             // their prompt prefix to the host tier's shared store.
             for &i in finished.iter().rev() {
                 let a = group.remove(i);
-                pool.release(a.idx as u64);
+                self.pool.release(a.idx as u64);
                 let prompt_tokens = arrivals[a.idx].problem.prompt_tokens;
-                tier.publish_prefix(
+                self.tier.publish_prefix(
                     arrivals[a.idx].problem.seed,
                     prompt_tokens,
                     prompt_tokens.saturating_mul(gen_bpt),
@@ -1026,8 +1331,8 @@ impl TimelineServerSim {
                 let stats = a.run.finish();
                 let answer = ftts_metrics::top1_majority(&stats.answers());
                 let finished_at = a.started_at + stats.latency();
-                finish_max = finish_max.max(finished_at);
-                served[a.idx] = Some(ServedRequest {
+                self.finish_max = self.finish_max.max(finished_at);
+                self.served[a.idx] = Some(Arc::new(ServedRequest {
                     arrived_at: a.arrived_at,
                     started_at: a.started_at,
                     finished_at,
@@ -1038,56 +1343,65 @@ impl TimelineServerSim {
                     shed: false,
                     granted_n: a.granted_n,
                     outcome: ServeOutcome { stats, answer },
-                });
+                }));
             }
 
             if !(group.is_empty() && rest.is_empty()) {
                 if !finished.is_empty() {
-                    admission::reshare(batch, &mut group, &mut rest, &mut pool);
+                    admission::reshare(batch, &mut group, &mut rest, &mut self.pool);
                 } else if admission::elastic(batch) && admission::demand_drifted(&group, &rest) {
-                    admission::rebalance_elastic(batch, &mut group, &mut rest, &mut pool);
+                    admission::rebalance_elastic(batch, &mut group, &mut rest, &mut self.pool);
                 }
             }
 
             // Survivors rejoin the in-flight set in admission order.
             rest.append(&mut group);
-            active = rest;
-            active.sort_by_key(|a| a.admit_seq);
+            self.active = rest;
+            self.active.sort_by_key(|a| a.admit_seq);
         }
+        Ok(())
+    }
 
-        Ok(BatchRun {
-            served: served
+    /// The finished run. Every arrival must have been served.
+    pub(crate) fn into_run(self) -> BatchRun {
+        BatchRun {
+            served: self
+                .served
                 .into_iter()
-                .map(|r| r.expect("every request served"))
+                .map(|r| {
+                    let r = r.expect("every request served");
+                    Arc::try_unwrap(r).unwrap_or_else(|shared| (*shared).clone())
+                })
                 .collect(),
-            rounds,
-            group_iters,
-            preemptions,
-            peak_reserved_bytes: pool.peak_reserved_bytes(),
-            pool_bytes,
-            ver_sweeps,
-            ver_seqs,
-            ver_busy_secs,
-            kernel_faults,
-            fault_retries,
-            kv_loss_events,
-            lost_blocks,
-            shed,
-            cancelled,
-            degradations,
-            final_reserved_bytes: pool.reserved_bytes(),
-            kv_tier_hits: tier.stats().prefix_hits,
-            kv_tier_demotions: tier.stats().demotions,
-            kv_tier_parked_bytes: tier.stats().parked_bytes,
-            kv_tier_dropped_bytes: tier_dropped + tier.stats().overflow_dropped_bytes,
-            kv_tier_unparked_bytes: tier.stats().unparked_bytes,
-            tenant_peak_bytes: pool
+            rounds: self.rounds,
+            group_iters: self.group_iters,
+            preemptions: self.preemptions,
+            peak_reserved_bytes: self.pool.peak_reserved_bytes(),
+            pool_bytes: self.pool_bytes,
+            ver_sweeps: self.ver_sweeps,
+            ver_seqs: self.ver_seqs,
+            ver_busy_secs: self.ver_busy_secs,
+            kernel_faults: self.kernel_faults,
+            fault_retries: self.fault_retries,
+            kv_loss_events: self.kv_loss_events,
+            lost_blocks: self.lost_blocks,
+            shed: self.shed,
+            cancelled: self.cancelled,
+            degradations: self.degradations,
+            final_reserved_bytes: self.pool.reserved_bytes(),
+            kv_tier_hits: self.tier.stats().prefix_hits,
+            kv_tier_demotions: self.tier.stats().demotions,
+            kv_tier_parked_bytes: self.tier.stats().parked_bytes,
+            kv_tier_dropped_bytes: self.tier_dropped + self.tier.stats().overflow_dropped_bytes,
+            kv_tier_unparked_bytes: self.tier.stats().unparked_bytes,
+            tenant_peak_bytes: self
+                .pool
                 .tenant_peaks()
                 .into_iter()
                 .map(|(t, b)| (t as u32, b))
                 .collect(),
-            timeline: timeline.occupancy(),
-        })
+            timeline: self.timeline.occupancy(),
+        }
     }
 }
 
@@ -1131,6 +1445,202 @@ mod tests {
     fn arrivals(count: usize, seed: u64, interval: f64) -> Vec<RequestArrival> {
         let problems = Dataset::Amc2023.problems(count, seed);
         ArrivalPattern::Uniform { interval }.schedule(&problems, 0)
+    }
+
+    /// Every iteration-boundary state of one run, in order.
+    fn all_states(
+        sim: &TimelineServerSim,
+        arrivals: &[RequestArrival],
+        directives: &RunDirectives,
+    ) -> Vec<KernelState> {
+        let mut states = Vec::new();
+        let mut state = KernelState::new(sim);
+        state
+            .resume(sim, arrivals, &FaultPlan::none(), directives, &mut |s| {
+                states.push(s.clone());
+            })
+            .expect("base run");
+        states
+    }
+
+    /// Resume the newest few `states` whose horizon lies before `change`
+    /// over the changed inputs; each must reproduce a fresh run over
+    /// those inputs on every field. The change must fall before the end
+    /// of the run. Returns how many states qualified (the first, before
+    /// any launch, always does).
+    fn assert_resumes_match(
+        sim: &TimelineServerSim,
+        states: &[KernelState],
+        arrivals: &[RequestArrival],
+        directives: &RunDirectives,
+        change: f64,
+    ) -> usize {
+        let plan = FaultPlan::none();
+        let want = sim
+            .run_directed(arrivals, &plan, directives)
+            .expect("fresh run")
+            .full_fingerprint();
+        let valid = states.partition_point(|s| s.horizon() < change);
+        assert!(
+            valid < states.len(),
+            "the change at {change} must fall inside the run"
+        );
+        for s in &states[valid.saturating_sub(3)..valid] {
+            let horizon = s.horizon();
+            let mut s = s.clone();
+            s.resume(sim, arrivals, &plan, directives, &mut |_| {})
+                .expect("resumed run");
+            assert_eq!(
+                s.into_run().full_fingerprint(),
+                want,
+                "resumed from horizon {horizon} for a change at {change}"
+            );
+        }
+        valid
+    }
+
+    fn insert(arrivals: &[RequestArrival], at: f64, seed: u64) -> Vec<RequestArrival> {
+        let extra = Dataset::Amc2023.problems(1, seed)[0];
+        let mut out = arrivals.to_vec();
+        let pos = out.partition_point(|a| a.at <= at);
+        out.insert(
+            pos,
+            ArrivalPattern::Burst { at }.schedule(&[extra], 0)[0].clone(),
+        );
+        out
+    }
+
+    fn windowed(seed: u64, config: TimelineConfig) -> TimelineServerSim {
+        TimelineServerSim::new(server(seed, 0.6), 8, SearchKind::BeamSearch, config)
+    }
+
+    #[test]
+    fn resume_handles_an_arrival_exactly_at_a_launch_instant() {
+        let sim = windowed(11, TimelineConfig::anchored(EventConfig::windowed(4, 0.0)));
+        let stream = arrivals(5, 41, 1.0);
+        let states = all_states(&sim, &stream, &RunDirectives::default());
+        // A boundary after a co-batched launch: its horizon is exactly
+        // that launch instant.
+        let k = states
+            .iter()
+            .rposition(|s| s.active.len() >= 2 && s.horizon().is_finite())
+            .expect("a co-batched launch");
+        let at = states[k].horizon();
+        let changed = insert(&stream, at, 901);
+        assert!(assert_resumes_match(&sim, &states, &changed, &RunDirectives::default(), at) > 1);
+    }
+
+    #[test]
+    fn resume_handles_an_arrival_inside_a_token_join_chunk() {
+        // Arrivals join the running decode batch at chunk boundaries, so
+        // a state after a launch has read arrivals up to its last
+        // boundary. Insert a new arrival just before each base arrival:
+        // one of them lands inside a chunk that ingested the next.
+        let sim = windowed(
+            13,
+            TimelineConfig::honest(EventConfig::windowed(4, 0.0))
+                .with_token_joins()
+                .with_join_quantum(4),
+        );
+        let stream = arrivals(5, 23, 3.0);
+        let states = all_states(&sim, &stream, &RunDirectives::default());
+        let mut resumed = 0;
+        for next in &stream[1..] {
+            let at = next.at - 1e-6;
+            let changed = insert(&stream, at, 902);
+            resumed +=
+                assert_resumes_match(&sim, &states, &changed, &RunDirectives::default(), at) - 1;
+        }
+        assert!(resumed > 0, "some checkpoint precedes a new arrival");
+    }
+
+    #[test]
+    fn resume_handles_an_arrival_during_a_lone_speculating_iteration() {
+        // One request at a time: every iteration runs alone and
+        // speculates up to the next known arrival, so an arrival landing
+        // mid-decode moves the speculation cut-off of an iteration that
+        // already started.
+        let sim = windowed(17, TimelineConfig::anchored(EventConfig::windowed(4, 0.0)));
+        let stream = arrivals(2, 7, 400.0);
+        let states = all_states(&sim, &stream, &RunDirectives::default());
+        let lone: Vec<usize> = (1..states.len())
+            .filter(|&i| states[i - 1].active.len() == 1 && states[i].active.len() == 1)
+            .collect();
+        assert!(lone.len() >= 3, "the fixture runs lone iterations");
+        for &i in &lone[..3] {
+            let launch = states[i - 1].active[0].ready_at();
+            let decode_end = states[i].horizon();
+            assert!(decode_end > launch, "a lone iteration's decode takes time");
+            let at = 0.5 * (launch + decode_end);
+            let changed = insert(&stream, at, 903);
+            assert!(
+                assert_resumes_match(&sim, &states, &changed, &RunDirectives::default(), at) > 1
+            );
+        }
+    }
+
+    #[test]
+    fn resume_handles_the_first_cancel_on_a_device_without_any() {
+        let sim = windowed(19, TimelineConfig::honest(EventConfig::windowed(4, 0.0)));
+        let stream = arrivals(5, 61, 1.0);
+        let base = RunDirectives::default();
+        let states = all_states(&sim, &stream, &base);
+        let at = states[states.len() / 2].horizon() + 0.01;
+        let changed = RunDirectives {
+            cancels: vec![(4, at)],
+            ..RunDirectives::default()
+        };
+        assert!(assert_resumes_match(&sim, &states, &stream, &changed, at) > 1);
+    }
+
+    #[test]
+    fn resume_handles_a_cancel_older_than_the_newest_checkpoint() {
+        // A hedge resolve cancels its loser at the winner's finish,
+        // which may precede checkpoints already taken: only states from
+        // before the cancel instant may be resumed.
+        let sim = windowed(23, TimelineConfig::anchored(EventConfig::windowed(4, 0.25)));
+        let stream = arrivals(5, 77, 1.5);
+        let base = RunDirectives {
+            cancels: vec![(0, 1.0e3)],
+            ..RunDirectives::default()
+        };
+        let states = all_states(&sim, &stream, &base);
+        let at = states[states.len() / 3].horizon() + 0.01;
+        assert!(at < states.last().expect("states").horizon());
+        let changed = RunDirectives {
+            cancels: vec![(0, 1.0e3), (2, at)],
+            ..RunDirectives::default()
+        };
+        assert!(assert_resumes_match(&sim, &states, &stream, &changed, at) > 1);
+    }
+
+    #[test]
+    fn folding_keeps_the_roll_up_bit_identical() {
+        let mut whole = DeviceTimeline::default();
+        let mut folded = DeviceTimeline::default();
+        let mut t = 0.0;
+        for i in 0..600usize {
+            let kind = [SegmentKind::Decode, SegmentKind::Verify, SegmentKind::Swap][i % 3];
+            let dur = 0.1 + (i % 7) as f64 * 0.037;
+            let a = whole.record(t, dur, kind, i % 5 + 1);
+            let b = folded.record(t, dur, kind, i % 5 + 1);
+            assert_eq!(a, b, "ids agree");
+            if i % 11 == 0 {
+                whole.stretch(a, 0.05);
+                folded.stretch(b, 0.05);
+            }
+            t += 0.06 + (i % 3) as f64 * 0.05;
+            if i % 50 == 49 {
+                // Only the newest segment may still be stretched.
+                folded.fold(t.min(folded.end_of(b)));
+            }
+        }
+        assert!(
+            folded.segments().len() < 100,
+            "folding drops final segments"
+        );
+        let (x, y) = (whole.occupancy(), folded.occupancy());
+        assert_eq!(format!("{x:?}"), format!("{y:?}"));
     }
 
     #[test]

@@ -13,16 +13,23 @@
 //!   moves clocks, never outcomes.
 //! * Crash failover migrates interrupted requests to survivors and
 //!   completes them.
+//! * Every fleet fixture here, and the fleet policies of the
+//!   `pr8_fleet` bench, reproduce fleet fingerprints frozen from the
+//!   replay-from-zero router (`golden/anchors.txt`).
+
+mod golden;
 
 use ftts_core::{
-    BatchConfig, BatchRun, EventConfig, FaultEvent, FaultKind, FaultPlan, FleetConfig, FleetRun,
-    FleetSim, HedgeConfig, KvTierConfig, RoutePolicy, ServedRequest, StormConfig, TimelineConfig,
-    TimelineServerSim, TimelineTuning, TtsServer,
+    BatchConfig, BatchRun, EventConfig, FaultEvent, FaultKind, FaultPlan, FaultPolicy, FleetConfig,
+    FleetRun, FleetSim, HedgeConfig, KvTierConfig, RobustConfig, RoutePolicy, ServedRequest,
+    StormConfig, TimelineConfig, TimelineServerSim, TimelineTuning, TtsServer,
 };
 use ftts_engine::ModelPairing;
 use ftts_hw::GpuDevice;
+use ftts_metrics::SloClass;
+use ftts_model::ProblemSpec;
 use ftts_search::SearchKind;
-use ftts_workload::{ArrivalPattern, Dataset, RequestArrival};
+use ftts_workload::{zipf_problems, ArrivalPattern, Dataset, RequestArrival};
 
 fn server(seed: u64, memory_fraction: f64) -> TtsServer {
     let mut s = TtsServer::fasttts(GpuDevice::rtx4090(), ModelPairing::pair_1_5b_1_5b());
@@ -119,6 +126,7 @@ fn one_device_fleet_is_bit_identical_fault_free() {
     .run(&stream)
     .expect("fleet run");
     assert_run_matches_bare("fault-free", &fleet, &bare);
+    golden::assert_fleet_golden("fleet/one-device-fault-free", &fleet);
 }
 
 /// Anchor 2: the same equivalence under a fault storm (no crashes —
@@ -147,6 +155,7 @@ fn one_device_fleet_is_bit_identical_under_storm() {
     .run_faulted(&stream, std::slice::from_ref(&plan))
     .expect("fleet run");
     assert_run_matches_bare("storm", &fleet, &bare);
+    golden::assert_fleet_golden("fleet/one-device-storm", &fleet);
 }
 
 /// Anchor 3: with failover *off*, a crash-bearing plan stays an
@@ -172,6 +181,7 @@ fn one_device_no_failover_crash_matches_bare_outage() {
     .run_faulted(&stream, std::slice::from_ref(&plan))
     .expect("fleet run");
     assert_run_matches_bare("no-failover crash", &fleet, &bare);
+    golden::assert_fleet_golden("fleet/one-device-no-failover-crash", &fleet);
     assert!(
         fleet.crash_downtime_secs > 0.0,
         "downtime is still reported in the naive mode"
@@ -213,6 +223,7 @@ fn fleet_results_are_deterministic_across_reruns() {
         })
         .collect();
     let (a, b) = (&runs[0], &runs[1]);
+    golden::assert_fleet_golden("fleet/jsq-hedged-crash", a);
     assert_served_identical("rerun", &a.served, &b.served);
     assert_eq!(a.serving_device, b.serving_device, "placements");
     assert_eq!(a.migrations, b.migrations, "migrations");
@@ -241,6 +252,8 @@ fn hedged_duplicates_never_change_the_winning_answer() {
     let plain = four_device_fleet(RoutePolicy::RoundRobin, None)
         .run(&stream)
         .expect("plain run");
+    golden::assert_fleet_golden("fleet/rr-aggressive-hedge", &hedged);
+    golden::assert_fleet_golden("fleet/rr-plain", &plain);
     assert!(
         hedged.hedges_launched > 0,
         "the aggressive hedge config must actually hedge"
@@ -273,6 +286,7 @@ fn crash_failover_migrates_and_completes_every_request() {
     let run = four_device_fleet(RoutePolicy::Jsq, None)
         .run_faulted(&stream, &crashy_plans())
         .expect("fleet run");
+    golden::assert_fleet_golden("fleet/jsq-crash-failover", &run);
     assert!(run.migrations > 0, "the crash must interrupt live requests");
     assert!(
         run.served.iter().all(|r| !r.shed),
@@ -330,6 +344,7 @@ fn timeline_fleet_anchored_is_bit_identical_to_plain_fleet() {
     )
     .run(&stream)
     .expect("timeline fleet run");
+    golden::assert_fleet_golden("fleet/two-device-jsq-anchored", &timed);
     assert_served_identical("anchored fleet", &timed.served, &plain.served);
     assert_eq!(
         timed.serving_device, plain.serving_device,
@@ -377,6 +392,8 @@ fn timeline_fleet_honest_joins_preserves_answers() {
     )
     .run(&stream)
     .expect("honest fleet run");
+    golden::assert_fleet_golden("fleet/two-device-rr-anchored", &plain);
+    golden::assert_fleet_golden("fleet/two-device-rr-honest-joins", &honest);
     assert_eq!(honest.served.len(), plain.served.len());
     for (i, (h, p)) in honest.served.iter().zip(&plain.served).enumerate() {
         assert!(!h.shed, "request {i} completes under the honest timeline");
@@ -394,4 +411,166 @@ fn timeline_fleet_honest_joins_preserves_answers() {
         honest.device_runs.iter().any(|r| r.timeline.segments > 0),
         "at least one device recorded timeline segments"
     );
+}
+
+/// The `pr8_fleet` bench's fixture: twelve Zipf draws over four AMC
+/// problems at a four-second cadence with round-robin SLO deadlines,
+/// n = 16, continuous batching with a host tier, device 1 down from
+/// t = 25 s for 300 s.
+fn pr8_event() -> EventConfig {
+    EventConfig::new(
+        BatchConfig::continuous(4).with_tier(KvTierConfig::with_capacity(1 << 33)),
+        0.25,
+    )
+}
+
+fn pr8_zipf(count: usize) -> Vec<ProblemSpec> {
+    let ranked = Dataset::Amc2023.problems(4, 47);
+    zipf_problems(&ranked, count, 1.2, 29)
+}
+
+fn pr8_fleet(devices: Vec<GpuDevice>, config: FleetConfig) -> FleetSim {
+    let servers = devices
+        .into_iter()
+        .map(|dev| {
+            let mut s = TtsServer::fasttts(dev, ModelPairing::pair_1_5b_1_5b());
+            s.config_mut().seed = 17;
+            s.config_mut().memory_fraction = 0.55;
+            s
+        })
+        .collect();
+    FleetSim::new(servers, 16, SearchKind::BeamSearch, config)
+}
+
+/// Every fleet run of the `pr8_fleet` bench reproduces its frozen
+/// fingerprint: the crash with and without failover, JSQ vs prefix
+/// affinity, 1 vs 4 devices, and the Orin vs mixed fleets.
+#[test]
+fn pr8_fleet_policies_match_frozen_fingerprints() {
+    let slos = [
+        (SloClass::Interactive, 90.0),
+        (SloClass::Standard, 120.0),
+        (SloClass::Batch, 180.0),
+    ];
+    let free = ArrivalPattern::Uniform { interval: 4.0 }.schedule(&pr8_zipf(12), 0);
+    let slo: Vec<RequestArrival> = free
+        .iter()
+        .enumerate()
+        .map(|(i, a)| {
+            let (class, slack) = slos[i % slos.len()];
+            a.clone().with_slo(class, slack)
+        })
+        .collect();
+    let burst = ArrivalPattern::Burst { at: 0.0 }.schedule(&pr8_zipf(16), 0);
+    let mut plans = vec![FaultPlan::none(); 4];
+    plans[1] = FaultPlan::new(vec![FaultEvent {
+        at: 25.0,
+        kind: FaultKind::DeviceCrash { down_for: 300.0 },
+    }]);
+    let hedge = HedgeConfig {
+        delay_factor: 1.5,
+        min_samples: 3,
+        min_delay_secs: 5.0,
+    };
+    let rtx = |k: usize| vec![GpuDevice::rtx4090(); k];
+    let jsq = FleetConfig::new(pr8_event(), RoutePolicy::Jsq);
+    let runs = [
+        (
+            "no-failover",
+            pr8_fleet(rtx(4), jsq.without_failover()).run_faulted(&slo, &plans),
+        ),
+        (
+            "failover-hedge",
+            pr8_fleet(rtx(4), jsq.with_hedge(hedge)).run_faulted(&slo, &plans),
+        ),
+        ("jsq", pr8_fleet(rtx(4), jsq).run(&slo)),
+        (
+            "prefix-affinity",
+            pr8_fleet(
+                rtx(4),
+                FleetConfig::new(pr8_event(), RoutePolicy::PrefixAffinity),
+            )
+            .run(&slo),
+        ),
+        (
+            "single-device",
+            pr8_fleet(
+                rtx(1),
+                FleetConfig::new(pr8_event(), RoutePolicy::RoundRobin),
+            )
+            .run(&burst),
+        ),
+        ("fleet4", pr8_fleet(rtx(4), jsq).run(&burst)),
+        (
+            "edge-orin-only",
+            pr8_fleet(vec![GpuDevice::jetson_orin(); 4], jsq).run(&free),
+        ),
+        (
+            "hetero-mixed",
+            pr8_fleet(
+                vec![
+                    GpuDevice::a100_80g(),
+                    GpuDevice::jetson_orin(),
+                    GpuDevice::a100_80g(),
+                    GpuDevice::jetson_orin(),
+                ],
+                jsq,
+            )
+            .run(&free),
+        ),
+    ];
+    for (label, run) in runs {
+        let run = run.expect("pr8 fleet run");
+        golden::assert_fleet_golden(&format!("fleet/pr8/{label}"), &run);
+    }
+}
+
+/// A small copy of the repository benchmark's `fleet_crash` workload:
+/// Poisson Zipf arrivals with SLO deadlines on four devices under JSQ
+/// and default hedging, the honest timeline with token joins, a host
+/// tier, the degrade policy, and device 1 crashing for good a third of
+/// the way in.
+#[test]
+fn fleet_crash_miniature_matches_frozen_fingerprint() {
+    let slos = [
+        (SloClass::Interactive, 40.0),
+        (SloClass::Standard, 60.0),
+        (SloClass::Batch, 120.0),
+    ];
+    let ranked = Dataset::Amc2023.problems(8, 47);
+    let drawn = zipf_problems(&ranked, 24, 0.8, 424_242);
+    let stream: Vec<RequestArrival> = ArrivalPattern::Poisson { rate: 0.3 }
+        .schedule(&drawn, 101)
+        .into_iter()
+        .enumerate()
+        .map(|(i, a)| {
+            let (class, slack) = slos[i % slos.len()];
+            a.with_slo(class, slack)
+        })
+        .collect();
+    let mut plans = vec![FaultPlan::none(); 4];
+    plans[1] = FaultPlan::new(vec![FaultEvent {
+        at: stream[8].at + 2.0,
+        kind: FaultKind::DeviceCrash { down_for: 1.0e4 },
+    }]);
+    let event = EventConfig::new(
+        BatchConfig::continuous(4)
+            .with_tier(KvTierConfig::with_capacity(1 << 33))
+            .with_robust(RobustConfig::with_policy(FaultPolicy::Degrade)),
+        0.25,
+    );
+    let config = FleetConfig::new(event, RoutePolicy::Jsq)
+        .with_timeline(TimelineTuning::honest().with_token_joins())
+        .with_hedge(HedgeConfig::default());
+    let run = FleetSim::new(
+        vec![server(17, 0.55); 4],
+        16,
+        SearchKind::BeamSearch,
+        config,
+    )
+    .run_faulted(&stream, &plans)
+    .expect("fleet run");
+    assert!(run.migrations > 0, "the crash interrupts live requests");
+    assert!(run.hedges_launched > 0, "stragglers are hedged");
+    golden::assert_fleet_golden("fleet/crash-honest-joins-hedge", &run);
 }

@@ -53,6 +53,16 @@ pub trait SearchDriver {
     /// returned pair is `(beam, number_of_children)`; beams not listed
     /// are pruned.
     fn select(&mut self, frontier: &[ScoredBeam], ctx: &SelectCtx) -> Vec<(BeamId, usize)>;
+
+    /// A boxed copy of the driver in its current state (so a
+    /// mid-flight [`RequestRun`] and its driver can be checkpointed).
+    fn box_clone(&self) -> Box<dyn SearchDriver>;
+}
+
+impl Clone for Box<dyn SearchDriver> {
+    fn clone(&self) -> Self {
+        self.box_clone()
+    }
 }
 
 /// Fatal serving errors.
@@ -409,6 +419,7 @@ pub enum DecodeStatus {
 }
 
 /// Transient speculative decoding task (one filled slot).
+#[derive(Clone)]
 struct SpecTask {
     beam: usize,
     branch: u64,
@@ -425,7 +436,7 @@ struct SpecTask {
 /// owned by [`Run`] and recycled (cleared, never shrunk) across
 /// iterations. Methods that need a container while also borrowing
 /// `self` mutably `mem::take` it and hand it back when done.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct Scratch {
     /// Order-policy input items (generation phase).
     items: Vec<OrderItem>,
@@ -484,6 +495,11 @@ struct Scratch {
 /// continuous batching across requests. [`Engine::run`] drives exactly
 /// this state machine to completion in a single call; [`Engine::begin`]
 /// hands it out for external scheduling.
+///
+/// A clone is an independent copy of the run at its current protocol
+/// position: stepping the clone and the original with clones of the
+/// same driver reproduces the same result bit for bit.
+#[derive(Clone)]
 pub struct RequestRun {
     cfg: std::sync::Arc<EngineConfig>,
     order: Box<dyn OrderPolicy>,

@@ -31,6 +31,15 @@ pub trait OrderPolicy: std::fmt::Debug + Send {
 
     /// Return the indices of `items` in scheduling order.
     fn order(&mut self, items: &[OrderItem], kv: &KvCache) -> Vec<usize>;
+
+    /// A boxed copy of the policy in its current state.
+    fn box_clone(&self) -> Box<dyn OrderPolicy>;
+}
+
+impl Clone for Box<dyn OrderPolicy> {
+    fn clone(&self) -> Self {
+        self.box_clone()
+    }
 }
 
 /// Insertion-order scheduling: beams are processed in the order branching
@@ -49,6 +58,10 @@ impl OrderPolicy for FifoOrder {
         let mut idx: Vec<usize> = (0..items.len()).collect();
         idx.sort_by_key(|&i| items[i].born_rank);
         idx
+    }
+
+    fn box_clone(&self) -> Box<dyn OrderPolicy> {
+        Box::new(self.clone())
     }
 }
 
@@ -78,6 +91,10 @@ impl OrderPolicy for RandomOrder {
         let mut idx: Vec<usize> = (0..items.len()).collect();
         idx.shuffle(&mut rng);
         idx
+    }
+
+    fn box_clone(&self) -> Box<dyn OrderPolicy> {
+        Box::new(self.clone())
     }
 }
 

@@ -89,6 +89,15 @@ pub trait MemoryPlanner: std::fmt::Debug + Send {
 
     /// Produce a plan for the given state.
     fn plan(&mut self, config: &EngineConfig, ctx: &PlanContext) -> MemoryPlan;
+
+    /// A boxed copy of the planner in its current state.
+    fn box_clone(&self) -> Box<dyn MemoryPlanner>;
+}
+
+impl Clone for Box<dyn MemoryPlanner> {
+    fn clone(&self) -> Self {
+        self.box_clone()
+    }
 }
 
 /// Baseline: split the KV budget in proportion to each model's weight
@@ -115,6 +124,10 @@ impl MemoryPlanner for StaticSplitPlanner {
             ver_batch,
             offload: false,
         }
+    }
+
+    fn box_clone(&self) -> Box<dyn MemoryPlanner> {
+        Box::new(self.clone())
     }
 }
 

@@ -8,6 +8,7 @@ use ftts_hw::GpuDevice;
 use ftts_workload::Dataset;
 
 /// Plain beam search: keep the top n/B beams, expand each into B children.
+#[derive(Clone)]
 struct PlainBeam {
     n: usize,
     b: usize,
@@ -32,6 +33,10 @@ impl SearchDriver for PlainBeam {
         });
         let keep = (self.n / self.b).max(1).min(ranked.len());
         ranked[..keep].iter().map(|s| (s.id, self.b)).collect()
+    }
+
+    fn box_clone(&self) -> Box<dyn SearchDriver> {
+        Box::new(self.clone())
     }
 }
 

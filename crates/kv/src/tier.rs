@@ -98,6 +98,15 @@ pub trait HotnessPolicy {
     /// rank demotes first. Ties are broken by the tier on the stable
     /// prefix key, so any rank is deterministic.
     fn victim_rank(&self, entry: &PrefixEntry) -> (u64, u64);
+
+    /// A boxed copy of the policy (so a whole tier can be cloned).
+    fn box_clone(&self) -> Box<dyn HotnessPolicy + Send>;
+}
+
+impl Clone for Box<dyn HotnessPolicy + Send> {
+    fn clone(&self) -> Self {
+        self.box_clone()
+    }
 }
 
 /// Default hotness policy: LRU refined by access count.
@@ -119,6 +128,10 @@ impl HotnessPolicy for LruAccessHotness {
 
     fn victim_rank(&self, entry: &PrefixEntry) -> (u64, u64) {
         (entry.hits, entry.last_used)
+    }
+
+    fn box_clone(&self) -> Box<dyn HotnessPolicy + Send> {
+        Box::new(*self)
     }
 }
 
@@ -152,6 +165,7 @@ pub struct TierStats {
 /// every mutation. A zero-capacity tier accepts nothing and hits
 /// nothing, so callers gating on [`HostTier::enabled`] reproduce
 /// pre-tier behaviour exactly.
+#[derive(Clone)]
 pub struct HostTier {
     config: KvTierConfig,
     policy: Box<dyn HotnessPolicy + Send>,

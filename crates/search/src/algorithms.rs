@@ -105,6 +105,10 @@ impl SearchDriver for BestOfN {
         // Every chain continues independently until it terminates.
         frontier.iter().map(|s| (s.id, 1)).collect()
     }
+
+    fn box_clone(&self) -> Box<dyn SearchDriver> {
+        Box::new(*self)
+    }
 }
 
 /// Standard beam search: keep the global top `n/b`, expand each into `b`
@@ -138,6 +142,10 @@ impl SearchDriver for BeamSearch {
             .iter()
             .map(|s| (s.id, self.b))
             .collect()
+    }
+
+    fn box_clone(&self) -> Box<dyn SearchDriver> {
+        Box::new(*self)
     }
 }
 
@@ -184,6 +192,10 @@ impl SearchDriver for Dvts {
         let mut picks: Vec<(BeamId, usize)> = best.into_values().map(|s| (s.id, self.b)).collect();
         picks.sort_by_key(|&(id, _)| id);
         picks
+    }
+
+    fn box_clone(&self) -> Box<dyn SearchDriver> {
+        Box::new(*self)
     }
 }
 
@@ -245,6 +257,10 @@ impl SearchDriver for DynamicBranching {
             .map(|(s, c)| (s.id, c))
             .collect()
     }
+
+    fn box_clone(&self) -> Box<dyn SearchDriver> {
+        Box::new(*self)
+    }
 }
 
 /// Varying Granularity: beam search with a depth-dependent cap on the
@@ -298,6 +314,10 @@ impl SearchDriver for VaryingGranularity {
 
     fn select(&mut self, frontier: &[ScoredBeam], ctx: &SelectCtx) -> Vec<(BeamId, usize)> {
         self.inner.select(frontier, ctx)
+    }
+
+    fn box_clone(&self) -> Box<dyn SearchDriver> {
+        Box::new(*self)
     }
 }
 
