@@ -139,22 +139,7 @@ fn rollups(run: &BatchRun, trace: &[RequestArrival]) -> Vec<TenantRollup> {
         .served
         .iter()
         .zip(trace)
-        .map(|(r, a)| {
-            (
-                a.tenant,
-                StreamRecord {
-                    arrived_at: r.arrived_at,
-                    finished_at: r.finished_at,
-                    queue_delay: r.queue_delay(),
-                    accepted_tokens: r.accepted_tokens(),
-                    generator_secs: r.outcome.stats.breakdown().generator_side(),
-                    verifier_secs: r.outcome.stats.breakdown().verifier,
-                    slo: r.slo,
-                    deadline: r.deadline,
-                    completed: !r.shed,
-                },
-            )
-        })
+        .map(|(r, a)| (a.tenant, r.stream_record()))
         .collect();
     TenantRollup::of(&tagged)
 }

@@ -14,189 +14,24 @@
 //! `BENCH_PR*.json` files a bench run writes to the repo root — see
 //! `docs/ci.md`.
 //!
-//! The JSON the benches emit is parsed by the minimal reader in this
-//! module (the workspace is offline; the vendored `serde` shim has no
-//! deserializer), which supports exactly the subset the reports use:
-//! objects, arrays, numbers, strings, booleans and null.
+//! The reports are parsed with `ftts-serve`'s JSON reader
+//! ([`Json`]), the workspace's one JSON parser (the vendored `serde`
+//! shim has no deserializer); a metric's dot-separated path is walked
+//! one object key at a time.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
-/// A parsed JSON value (minimal reader for the bench reports).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// An object, with insertion-order-independent key lookup.
-    Object(BTreeMap<String, Json>),
-    /// An array.
-    Array(Vec<Json>),
-    /// A number (all JSON numbers are read as `f64`).
-    Number(f64),
-    /// A string.
-    String(String),
-    /// A boolean.
-    Bool(bool),
-    /// `null`.
-    Null,
-}
+use ftts_serve::Json;
 
-impl Json {
-    /// Parse a JSON document.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable description of the first syntax error.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing content at byte {pos}"));
-        }
-        Ok(value)
+/// The number at a dot-separated path of object keys (e.g.
+/// `"policies.fused_batch8.stream_goodput_tok_per_s"`).
+fn number_at_path(json: &Json, path: &str) -> Option<f64> {
+    match path.split('.').try_fold(json, Json::at)? {
+        Json::Number(x) => Some(*x),
+        _ => None,
     }
-
-    /// Navigate a dot-separated path of object keys (e.g.
-    /// `"policies.fused_batch8.stream_goodput_tok_per_s"`).
-    pub fn at(&self, path: &str) -> Option<&Json> {
-        let mut cur = self;
-        for key in path.split('.') {
-            match cur {
-                Json::Object(map) => cur = map.get(key)?,
-                _ => return None,
-            }
-        }
-        Some(cur)
-    }
-
-    /// The numeric value at a dot-separated path, if any.
-    pub fn number_at(&self, path: &str) -> Option<f64> {
-        match self.at(path)? {
-            Json::Number(x) => Some(*x),
-            _ => None,
-        }
-    }
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && (bytes[*pos] as char).is_ascii_whitespace() {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    if bytes.get(*pos) == Some(&c) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected '{}' at byte {pos}", c as char))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'{') => {
-            *pos += 1;
-            let mut map = BTreeMap::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Object(map));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
-                map.insert(key, value);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Object(map));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Array(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Array(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => Ok(Json::String(parse_string(bytes, pos)?)),
-        Some(b't') if bytes[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if bytes[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if bytes[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < bytes.len()
-                && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            let s = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-            s.parse::<f64>()
-                .map(Json::Number)
-                .map_err(|_| format!("invalid number '{s}' at byte {start}"))
-        }
-        None => Err("unexpected end of input".to_string()),
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    while let Some(&b) = bytes.get(*pos) {
-        *pos += 1;
-        match b {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let esc = *bytes.get(*pos).ok_or("unterminated escape")?;
-                *pos += 1;
-                out.push(match esc {
-                    b'n' => '\n',
-                    b't' => '\t',
-                    b'r' => '\r',
-                    b'"' => '"',
-                    b'\\' => '\\',
-                    b'/' => '/',
-                    other => return Err(format!("unsupported escape '\\{}'", other as char)),
-                });
-            }
-            _ => out.push(b as char),
-        }
-    }
-    Err("unterminated string".to_string())
 }
 
 /// Which way a metric is supposed to move.
@@ -602,8 +437,8 @@ pub fn run_gate(baseline_dir: &Path, fresh_dir: &Path, specs: &[MetricSpec]) -> 
     let rows = specs
         .iter()
         .map(|spec| {
-            let baseline = load(false, spec.file).and_then(|j| j.number_at(spec.path));
-            let fresh = load(true, spec.file).and_then(|j| j.number_at(spec.path));
+            let baseline = load(false, spec.file).and_then(|j| number_at_path(&j, spec.path));
+            let fresh = load(true, spec.file).and_then(|j| number_at_path(&j, spec.path));
             let ratio = baseline
                 .zip(fresh)
                 .map(|(b, f)| goodness_ratio(b, f, spec.direction));
@@ -666,7 +501,7 @@ pub fn write_baseline(
     }
     for spec in specs {
         if let Some(json) = parsed.get(spec.file) {
-            if json.number_at(spec.path).is_none() {
+            if number_at_path(json, spec.path).is_none() {
                 problems.push(format!(
                     "{}: gated metric '{}' does not resolve to a number",
                     spec.file, spec.path
@@ -760,21 +595,50 @@ pub fn self_test() -> Result<(), String> {
 mod tests {
     use super::*;
 
+    /// File names of the committed `BENCH_PR*.json` reports at the repo
+    /// root, sorted.
+    fn committed_reports() -> Vec<String> {
+        let mut reports: Vec<String> = std::fs::read_dir(repo_root())
+            .expect("repo root is readable")
+            .map(|e| {
+                e.expect("dir entry")
+                    .file_name()
+                    .into_string()
+                    .expect("utf8 name")
+            })
+            .filter(|n| n.starts_with("BENCH_PR") && n.ends_with(".json"))
+            .collect();
+        reports.sort();
+        reports
+    }
+
+    fn repo_root() -> std::path::PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+    }
+
     #[test]
     fn parses_the_report_shapes() {
-        let j =
-            Json::parse(r#"{ "a": { "b": [1, 2.5, -3e2] }, "s": "x\n", "t": true, "n": null }"#)
-                .expect("parse");
-        assert_eq!(j.number_at("a.b"), None, "arrays are not numbers");
+        let j = Json::parse(
+            r#"{ "a": { "b": [1, 2.5, -3e2], "c": { "d": -3e2 } }, "s": "x\n", "t": true, "n": null }"#,
+        )
+        .expect("parse");
+        assert_eq!(number_at_path(&j, "a.c.d"), Some(-300.0));
+        assert_eq!(number_at_path(&j, "a.b"), None, "arrays are not numbers");
         assert_eq!(
-            j.at("a.b"),
+            j.at("a").and_then(|a| a.at("b")),
             Some(&Json::Array(vec![
                 Json::Number(1.0),
                 Json::Number(2.5),
                 Json::Number(-300.0),
             ]))
         );
-        assert_eq!(j.at("s"), Some(&Json::String("x\n".to_string())));
+        assert_eq!(
+            number_at_path(&j, "a.c.d.e"),
+            None,
+            "numbers have no members"
+        );
+        assert_eq!(number_at_path(&j, "a.missing"), None);
+        assert_eq!(j.str_at("s"), Some("x\n"));
         assert_eq!(j.at("t"), Some(&Json::Bool(true)));
         assert_eq!(j.at("n"), Some(&Json::Null));
         assert!(Json::parse("{").is_err());
@@ -783,14 +647,25 @@ mod tests {
 
     #[test]
     fn parses_the_real_reports() {
-        // The committed baselines must stay parseable by the gate.
-        for file in ["BENCH_PR1.json", "BENCH_PR2.json", "BENCH_PR3.json"] {
-            let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join(file);
-            let text = std::fs::read_to_string(&path).expect("baseline exists");
+        // Every committed baseline must stay parseable by the gate, and
+        // every gated path must resolve to a number in its report.
+        let reports = committed_reports();
+        assert!(!reports.is_empty(), "committed baselines are present");
+        let mut parsed = BTreeMap::new();
+        for file in &reports {
+            let text = std::fs::read_to_string(repo_root().join(file)).expect("baseline exists");
             let json = Json::parse(&text).expect("baseline parses");
-            assert!(json.at("bench").is_some(), "{file} names its bench");
+            assert!(json.str_at("bench").is_some(), "{file} names its bench");
+            parsed.insert(file.as_str(), json);
+        }
+        for spec in default_specs() {
+            let json = parsed.get(spec.file).expect("gated report is committed");
+            assert!(
+                number_at_path(json, spec.path).is_some(),
+                "{}: '{}' does not resolve to a number",
+                spec.file,
+                spec.path
+            );
         }
     }
 
@@ -864,18 +739,7 @@ mod tests {
         // list: any `BENCH_PR*.json` landing in the repo root without a
         // gated metric fails this test until a spec is added.
         let specs = default_specs();
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let mut reports: Vec<String> = std::fs::read_dir(&root)
-            .expect("repo root is readable")
-            .map(|e| {
-                e.expect("dir entry")
-                    .file_name()
-                    .into_string()
-                    .expect("utf8 name")
-            })
-            .filter(|n| n.starts_with("BENCH_PR") && n.ends_with(".json"))
-            .collect();
-        reports.sort();
+        let reports = committed_reports();
         assert!(
             reports.len() >= 8,
             "the committed BENCH_PR*.json baselines must be present (found {reports:?})"

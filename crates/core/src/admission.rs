@@ -432,9 +432,6 @@ pub(crate) fn admit(
             return Ok(report);
         }
         let share = pool.equal_share(in_flight + 1);
-        if in_flight > 0 && share < ctx.config.min_share_bytes {
-            return Ok(report);
-        }
         // Candidates in tiebreak order: every readmission candidate
         // (pause order), then the head of the arrival queue. Under SLO
         // enforcement both classes rank earliest-deadline-first instead

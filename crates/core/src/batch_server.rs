@@ -28,9 +28,6 @@ pub struct BatchConfig {
     /// batching). When `false`, admission waits for the device to drain
     /// — batch-1 FIFO or gang scheduling depending on `max_batch`.
     pub admit_mid_flight: bool,
-    /// Do not admit a request mid-flight if equal shares would fall
-    /// below this many bytes (0 = only `max_batch` limits admission).
-    pub min_share_bytes: u64,
     /// Fuse all in-flight requests' verifier prefills into one shared
     /// sweep per round instead of serializing per-request kernels on
     /// the shared accelerator.
@@ -39,14 +36,12 @@ pub struct BatchConfig {
     /// working-set demand (rebalanced at admission / completion /
     /// preemption boundaries) instead of an equal split.
     pub demand_shares: bool,
-    /// First Finish cut: complete a request as soon as its best
-    /// verified beam clears [`BatchConfig::first_finish_bar`],
+    /// First Finish cut at the given acceptance bar (a verifier score):
+    /// complete a request as soon as its best verified beam clears it,
     /// cancelling sibling beams and releasing their reservation.
     /// Changes which beams finish (never how any path is generated), so
-    /// it is opt-in and excluded from the equivalence suite.
-    pub first_finish: bool,
-    /// Acceptance bar for the First Finish cut (a verifier score).
-    pub first_finish_bar: f64,
+    /// it is opt-in (`None`) and excluded from the equivalence suite.
+    pub first_finish: Option<f64>,
     /// Fault-handling and SLO policy (see [`RobustConfig`]). The
     /// default — retry with backoff, no deadline enforcement — is
     /// bit-inert on fault-free runs.
@@ -71,11 +66,9 @@ impl BatchConfig {
         Self {
             max_batch: 1,
             admit_mid_flight: false,
-            min_share_bytes: 0,
             fused_verify: false,
             demand_shares: false,
-            first_finish: false,
-            first_finish_bar: 0.0,
+            first_finish: None,
             robust: RobustConfig::default(),
             tier: KvTierConfig::default(),
             tenants: None,
@@ -115,8 +108,7 @@ impl BatchConfig {
 
     /// Enable the First Finish cut at the given acceptance bar.
     pub fn with_first_finish(mut self, bar: f64) -> Self {
-        self.first_finish = true;
-        self.first_finish_bar = bar;
+        self.first_finish = Some(bar);
         self
     }
 
@@ -236,17 +228,7 @@ impl BatchRun {
         let records: Vec<StreamRecord> = self
             .served
             .iter()
-            .map(|r| StreamRecord {
-                arrived_at: r.arrived_at,
-                finished_at: r.finished_at,
-                queue_delay: r.queue_delay(),
-                accepted_tokens: r.accepted_tokens(),
-                generator_secs: r.outcome.stats.breakdown().generator_side(),
-                verifier_secs: r.outcome.stats.breakdown().verifier,
-                slo: r.slo,
-                deadline: r.deadline,
-                completed: !r.shed,
-            })
+            .map(ServedRequest::stream_record)
             .collect();
         let occupancy = if self.ver_sweeps > 0 {
             self.ver_seqs as f64 / self.ver_sweeps as f64
@@ -390,19 +372,6 @@ mod tests {
             assert_eq!(r.outcome.stats.beams.len(), f.outcome.stats.beams.len());
         }
         assert!(saw_preempted);
-    }
-
-    #[test]
-    fn min_share_caps_concurrency() {
-        let arrivals = overload_arrivals(4, 61);
-        let pool = server(1, 0.9).config().kv_budget_bytes();
-        let mut config = BatchConfig::continuous(4);
-        // Equal shares for 3+ requests would dip below the floor.
-        config.min_share_bytes = pool / 2;
-        let run = lockstep(server(1, 0.9), 8, config)
-            .run(&arrivals)
-            .expect("run");
-        assert_eq!(run.served.len(), 4);
     }
 
     #[test]

@@ -49,10 +49,10 @@
 //! [`timeline`](crate::TimelineServerSim) module docs) — so each cache
 //! is exactly the run from t = 0 over the device's current input. The
 //! sequential caches are the fleet's result; debug builds re-run every
-//! device from t = 0 on the [`sweep`](crate::sweep) work-stealing
-//! harness and assert the replays equal the caches on the full
-//! fingerprint, so results are invariant to worker-thread count and to
-//! where the ladder happened to hold checkpoints. A 1-device fleet with
+//! device from t = 0 on the [`parallel_map`](crate::parallel_map)
+//! work-stealing harness and assert the replays equal the caches on the
+//! full fingerprint, so results are invariant to worker-thread count
+//! and to where the ladder happened to hold checkpoints. A 1-device fleet with
 //! the pass-through router is bit-identical to a bare kernel run,
 //! faulted and fault-free (enforced in `crates/core/tests/fleet.rs`).
 
@@ -66,7 +66,7 @@ use crate::event_server::{EventConfig, PrewarmPrefix, RunDirectives};
 use crate::faults::FaultPlan;
 use crate::server::{ServedRequest, TtsServer};
 use crate::sweep::parallel_map;
-use crate::timeline::{KernelState, TimelineServerSim, TimelineTuning};
+use crate::timeline::{KernelState, TimelineConfig, TimelineServerSim, TimelineTuning};
 
 /// Minimum horizon spacing of a device's checkpoint ladder, simulated
 /// seconds.
@@ -134,9 +134,11 @@ impl Default for HedgeConfig {
 /// Fleet-level serving knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetConfig {
-    /// The per-device event-driven scheduling policy (every replica
-    /// runs the same scheduler; the servers themselves may differ).
-    pub event: EventConfig,
+    /// The per-device scheduler kernel policy: the event-driven policy
+    /// and its timeline tuning (every replica runs the same scheduler;
+    /// the servers themselves may differ). The tuning defaults to
+    /// [`TimelineTuning::anchored`].
+    pub kernel: TimelineConfig,
     /// The routing policy.
     pub route: RoutePolicy,
     /// Crash failover: when on, device-crash events are handled at the
@@ -150,24 +152,19 @@ pub struct FleetConfig {
     pub migration_delay_secs: f64,
     /// Hedged execution for stragglers; `None` disables hedging.
     pub hedge: Option<HedgeConfig>,
-    /// Global-timeline honesty features for the per-device kernel
-    /// (retroactive contention pricing, token-granularity decode joins
-    /// — see [`crate::TimelineConfig`]). Defaults to
-    /// [`TimelineTuning::anchored`].
-    pub timeline: TimelineTuning,
 }
 
 impl FleetConfig {
-    /// The given event policy with routing `route`, failover on, a
-    /// 2-second migration hand-off and no hedging.
+    /// The given event policy with routing `route`, an anchored
+    /// timeline, failover on, a 2-second migration hand-off and no
+    /// hedging.
     pub fn new(event: EventConfig, route: RoutePolicy) -> Self {
         Self {
-            event,
+            kernel: TimelineConfig::anchored(event),
             route,
             failover: true,
             migration_delay_secs: 2.0,
             hedge: None,
-            timeline: TimelineTuning::anchored(),
         }
     }
 
@@ -179,7 +176,7 @@ impl FleetConfig {
 
     /// Run every device's kernel with the given honesty tuning.
     pub fn with_timeline(mut self, tuning: TimelineTuning) -> Self {
-        self.timeline = tuning;
+        self.kernel.tuning = tuning;
         self
     }
 
@@ -332,17 +329,7 @@ impl FleetRun {
     pub fn fleet_records(&self) -> Vec<StreamRecord> {
         self.served
             .iter()
-            .map(|r| StreamRecord {
-                arrived_at: r.arrived_at,
-                finished_at: r.finished_at,
-                queue_delay: r.queue_delay(),
-                accepted_tokens: r.accepted_tokens(),
-                generator_secs: r.outcome.stats.breakdown().generator_side(),
-                verifier_secs: r.outcome.stats.breakdown().verifier,
-                slo: r.slo,
-                deadline: r.deadline,
-                completed: !r.shed,
-            })
+            .map(ServedRequest::stream_record)
             .collect()
     }
 
@@ -525,14 +512,13 @@ impl FleetSim {
             .run_directed(&input.arrivals, &input.plan, &input.directives)
     }
 
-    /// Device `d`'s scheduler kernel under the fleet's event policy and
-    /// timeline tuning.
+    /// Device `d`'s scheduler kernel under the fleet's kernel policy.
     fn kernel(&self, d: usize) -> TimelineServerSim {
         TimelineServerSim::new(
             self.devices[d].clone(),
             self.n,
             self.kind,
-            self.config.timeline.config(self.config.event),
+            self.config.kernel,
         )
     }
 }
@@ -1152,12 +1138,30 @@ mod tests {
         assert!(cfg.failover);
         assert!(cfg.hedge.is_some());
         assert_eq!(
-            cfg.timeline,
+            cfg.kernel.tuning,
             TimelineTuning::anchored(),
             "anchored by default"
         );
         let naive = cfg.without_failover();
         assert!(!naive.failover);
+    }
+
+    #[test]
+    fn every_device_gets_the_fleet_kernel_config() {
+        let event = EventConfig::windowed(4, 0.2);
+        let cfg = FleetConfig::new(event, RoutePolicy::Jsq)
+            .with_timeline(TimelineTuning::honest().with_token_joins());
+        let server = TtsServer::fasttts(
+            ftts_hw::GpuDevice::rtx4090(),
+            ftts_engine::ModelPairing::pair_1_5b_1_5b(),
+        );
+        let fleet = FleetSim::new(vec![server; 2], 4, SearchKind::BeamSearch, cfg);
+        for d in 0..2 {
+            assert_eq!(
+                *fleet.kernel(d).config(),
+                TimelineConfig::honest(event).with_token_joins()
+            );
+        }
     }
 
     #[test]

@@ -44,8 +44,9 @@
 //! * the co-batch window, [`EventConfig`]: `lockstep` (infinite window:
 //!   lockstep rounds with a barrier) or a finite window (event-driven,
 //!   iteration-granularity scheduling);
-//! * the honesty features, [`TimelineConfig`]: `anchored` (the timeline
-//!   only observes), `honest` (retroactive contention pricing) and token
+//! * the honesty features, [`TimelineTuning`] (a [`TimelineConfig`] is
+//!   an event policy plus a tuning): `anchored` (the timeline only
+//!   observes), `honest` (retroactive contention pricing) and token
 //!   joins (arrivals join the running decode batch at chunk
 //!   boundaries).
 //!
@@ -53,13 +54,11 @@
 //! equivalence anchors. [`FleetSim`] runs one kernel per device behind a
 //! router with crash failover and hedging.
 //!
-//! For evaluation at scale, the `sweep` module provides a parallel
-//! harness: [`ServerSim::run_parallel`] replays independent request
-//! streams across OS threads, and [`sweep`]/[`SweepJob`] fan a
-//! configuration grid out the same way — with results guaranteed (and
-//! tested) bit-identical to sequential execution thanks to the stack's
-//! stable-key deterministic seeding. See `sweep`'s module docs for the
-//! exact determinism rules.
+//! For evaluation at scale, [`ServerSim::run_parallel`] replays
+//! independent request streams across OS threads on [`parallel_map`],
+//! with results guaranteed (and tested) bit-identical to sequential
+//! execution thanks to the stack's stable-key deterministic seeding.
+//! See `sweep`'s module docs for the exact determinism rules.
 //!
 //! # Quickstart
 //!
@@ -104,11 +103,11 @@ pub use fleet::{DeviceInput, FleetConfig, FleetRun, FleetSim, HedgeConfig, Route
 pub use ftts_engine::{
     EngineError, RequestRun, RunPhase, SpecConfig, StepStatus, VerifyCharge, VerifyChunk,
 };
-pub use ftts_kv::{HostTier, HotnessPolicy, KvTierConfig, LruAccessHotness, TierStats};
+pub use ftts_kv::{HostTier, KvTierConfig, TierStats};
 pub use memalloc::RooflinePlanner;
 pub use prefix_sched::{PrefixAwareOrder, WorstCaseOrder};
 pub use server::{AblationFlags, ServeOutcome, ServedRequest, ServerSim, TtsServer};
-pub use sweep::{parallel_map, sweep, SweepJob};
+pub use sweep::parallel_map;
 pub use tenant::{TenantPolicy, TenantSpec, MAX_TENANTS};
 pub use timeline::{
     DeviceTimeline, Segment, SegmentKind, TimelineConfig, TimelineServerSim, TimelineTuning,

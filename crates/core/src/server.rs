@@ -5,6 +5,7 @@ use ftts_engine::{
     RunStats, SearchDriver, SpecConfig, StaticSplitPlanner,
 };
 use ftts_hw::GpuDevice;
+use ftts_metrics::StreamRecord;
 use ftts_model::ProblemSpec;
 use ftts_search::{make_driver, SearchKind};
 use ftts_workload::RequestArrival;
@@ -352,6 +353,22 @@ impl ServedRequest {
     /// deadline. Always `false` without a deadline.
     pub fn deadline_missed(&self) -> bool {
         self.shed || self.finished_at > self.deadline
+    }
+
+    /// The request as a stream-metrics record.
+    pub fn stream_record(&self) -> StreamRecord {
+        let breakdown = self.outcome.stats.breakdown();
+        StreamRecord {
+            arrived_at: self.arrived_at,
+            finished_at: self.finished_at,
+            queue_delay: self.queue_delay(),
+            accepted_tokens: self.accepted_tokens(),
+            generator_secs: breakdown.generator_side(),
+            verifier_secs: breakdown.verifier,
+            slo: self.slo,
+            deadline: self.deadline,
+            completed: !self.shed,
+        }
     }
 }
 

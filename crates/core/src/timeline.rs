@@ -8,7 +8,7 @@
 //! event-driven windows, contention pricing and token joins — is this
 //! loop under a [`TimelineConfig`]: an [`EventConfig`] (a
 //! [`BatchConfig`](crate::BatchConfig) request policy plus a co-batch
-//! window) and two honesty features.
+//! window) and a [`TimelineTuning`] of two honesty features.
 //!
 //! # Modes
 //!
@@ -95,7 +95,7 @@
 //! against the in-flight set at the launch instant, which leaves two
 //! approximations. The timeline removes both:
 //!
-//! * **Retroactive contention** ([`TimelineConfig::contention`]): when
+//! * **Retroactive contention** ([`TimelineTuning::contention`]): when
 //!   a launch admits *new* device load (fresh arrivals or readmitted
 //!   runs), every in-flight iteration it overlaps is stretched by the
 //!   marginal co-batch slowdown over its remaining seconds
@@ -103,11 +103,11 @@
 //!   iteration's segment already on the timeline is stretched with it.
 //!   Without it, overlapping a busy device is free for the requests
 //!   already on it, and window 0 looks nearly as good as an oracle.
-//! * **Token-granularity joins** ([`TimelineConfig::token_joins`]):
+//! * **Token-granularity joins** ([`TimelineTuning::token_joins`]):
 //!   the generation phase runs as chunked sub-iterations
 //!   ([`ftts_engine::RequestRun::plan_decode_chunk`] /
 //!   [`ftts_engine::RequestRun::apply_decode_chunk`]) capped at
-//!   [`TimelineConfig::join_quantum`] tokens. All co-batched members
+//!   [`TimelineTuning::join_quantum`] tokens. All co-batched members
 //!   synchronize at each chunk boundary (the wait books to the
 //!   `join_wait` latency slice), arrivals due by the boundary admit
 //!   *into the running launch* there, and the co-batch totals are
@@ -445,6 +445,42 @@ pub struct TimelineConfig {
     /// The event-driven policy (batching, window, admission, shares,
     /// preemption) the timeline scheduler inherits wholesale.
     pub event: EventConfig,
+    /// The honesty features.
+    pub tuning: TimelineTuning,
+}
+
+impl TimelineConfig {
+    /// Both honesty features off: iteration-granularity scheduling of
+    /// `event`, with the timeline recording segments only as an
+    /// observer.
+    pub fn anchored(event: EventConfig) -> Self {
+        TimelineTuning::anchored().config(event)
+    }
+
+    /// Honest iteration-granularity scheduling: retroactive contention
+    /// on, token joins off.
+    pub fn honest(event: EventConfig) -> Self {
+        TimelineTuning::honest().config(event)
+    }
+
+    /// Enable token-granularity decode joins (keeps the current
+    /// contention setting).
+    pub fn with_token_joins(self) -> Self {
+        self.tuning.with_token_joins().config(self.event)
+    }
+
+    /// Override the join quantum (decode tokens per sequence between
+    /// chunk boundaries).
+    pub fn with_join_quantum(self, quantum: u64) -> Self {
+        self.tuning.with_join_quantum(quantum).config(self.event)
+    }
+}
+
+/// The honesty features of a [`TimelineConfig`]. A fleet attaches one
+/// tuning to its per-device event policy, so every replica runs the
+/// same kernel.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TimelineTuning {
     /// Price cross-launch decode overlap: a launch admitting new device
     /// load retroactively stretches every in-flight iteration it
     /// overlaps by the marginal co-batch slowdown.
@@ -453,60 +489,9 @@ pub struct TimelineConfig {
     /// the running decode batch at chunk boundaries.
     pub token_joins: bool,
     /// Max decode tokens per sequence between join boundaries (ignored
-    /// unless [`TimelineConfig::token_joins`] is set). Smaller quanta
+    /// unless [`TimelineTuning::token_joins`] is set). Smaller quanta
     /// give arrivals earlier joins at the price of more `join_wait`
     /// synchronization among co-batched members.
-    pub join_quantum: u64,
-}
-
-impl TimelineConfig {
-    /// Both honesty features off: iteration-granularity scheduling of
-    /// `event`, with the timeline recording segments only as an
-    /// observer.
-    pub fn anchored(event: EventConfig) -> Self {
-        Self {
-            event,
-            contention: false,
-            token_joins: false,
-            join_quantum: 16,
-        }
-    }
-
-    /// Honest iteration-granularity scheduling: retroactive contention
-    /// on, token joins off.
-    pub fn honest(event: EventConfig) -> Self {
-        Self {
-            contention: true,
-            ..Self::anchored(event)
-        }
-    }
-
-    /// Enable token-granularity decode joins (keeps the current
-    /// contention setting).
-    pub fn with_token_joins(mut self) -> Self {
-        self.token_joins = true;
-        self
-    }
-
-    /// Override the join quantum (decode tokens per sequence between
-    /// chunk boundaries).
-    pub fn with_join_quantum(mut self, quantum: u64) -> Self {
-        assert!(quantum >= 1, "join quantum must be at least one token");
-        self.join_quantum = quantum;
-        self
-    }
-}
-
-/// The honesty-feature subset of [`TimelineConfig`] — what a fleet
-/// attaches to its per-device scheduling policy (the event policy is
-/// specified once at the fleet level and shared by every replica).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimelineTuning {
-    /// See [`TimelineConfig::contention`].
-    pub contention: bool,
-    /// See [`TimelineConfig::token_joins`].
-    pub token_joins: bool,
-    /// See [`TimelineConfig::join_quantum`].
     pub join_quantum: u64,
 }
 
@@ -525,8 +510,7 @@ impl TimelineTuning {
     pub fn honest() -> Self {
         Self {
             contention: true,
-            token_joins: false,
-            join_quantum: 16,
+            ..Self::anchored()
         }
     }
 
@@ -547,9 +531,7 @@ impl TimelineTuning {
     pub fn config(self, event: EventConfig) -> TimelineConfig {
         TimelineConfig {
             event,
-            contention: self.contention,
-            token_joins: self.token_joins,
-            join_quantum: self.join_quantum,
+            tuning: self,
         }
     }
 }
@@ -579,7 +561,7 @@ impl TimelineServerSim {
             "window must be non-negative"
         );
         assert!(
-            config.join_quantum >= 1,
+            config.tuning.join_quantum >= 1,
             "join quantum must be at least one token"
         );
         Self {
@@ -968,7 +950,7 @@ impl KernelState {
             // Retroactive contention on the bystanders this launch
             // overlaps. (With an infinite window the rest is always
             // empty — lockstep mode needs no special case.)
-            if sim.config.contention && report.admitted {
+            if sim.config.tuning.contention && report.admitted {
                 stretch_bystanders(&group[before..], &mut rest, launch, &mut self.timeline);
             }
 
@@ -1047,7 +1029,7 @@ impl KernelState {
             // in-flight set: requests outside the launch are
             // mid-iteration and share the weight sweep.
             let mut planned: Vec<bool>;
-            if sim.config.token_joins {
+            if sim.config.tuning.token_joins {
                 planned = vec![true; group.len()];
                 let mut gen_done: Vec<bool> = group.iter().map(|a| a.run.is_finished()).collect();
                 for (i, done) in gen_done.iter().enumerate() {
@@ -1055,7 +1037,7 @@ impl KernelState {
                         planned[i] = false;
                     }
                 }
-                let quantum = sim.config.join_quantum;
+                let quantum = sim.config.tuning.join_quantum;
                 loop {
                     // Re-derive the co-batch every chunk: membership
                     // (joins, early generation finishes) and context
@@ -1169,7 +1151,7 @@ impl KernelState {
                                 gen_done.push(false);
                                 planned.push(true);
                             }
-                            if sim.config.contention {
+                            if sim.config.tuning.contention {
                                 stretch_bystanders(
                                     &group[before..],
                                     &mut rest,
@@ -1266,10 +1248,10 @@ impl KernelState {
                     a.run.run_phase() == RunPhase::Ready || !planned[i],
                     "a committed run must be back between iterations"
                 );
-                let mut done = status.is_finished();
-                if !done && batch.first_finish && a.run.first_finish_cut(batch.first_finish_bar) {
-                    done = true;
-                }
+                let done = status.is_finished()
+                    || batch
+                        .first_finish
+                        .is_some_and(|bar| a.run.first_finish_cut(bar));
                 round_end = round_end.max(a.started_at + a.run.clock());
                 if done {
                     finished.push(i);
@@ -1647,14 +1629,14 @@ mod tests {
     fn config_presets() {
         let event = EventConfig::windowed(4, 0.0);
         let anchored = TimelineConfig::anchored(event);
-        assert!(!anchored.contention && !anchored.token_joins);
+        assert!(!anchored.tuning.contention && !anchored.tuning.token_joins);
         let honest = TimelineConfig::honest(event);
-        assert!(honest.contention && !honest.token_joins);
+        assert!(honest.tuning.contention && !honest.tuning.token_joins);
         let joins = TimelineConfig::honest(event)
             .with_token_joins()
             .with_join_quantum(8);
-        assert!(joins.token_joins);
-        assert_eq!(joins.join_quantum, 8);
+        assert!(joins.tuning.token_joins);
+        assert_eq!(joins.tuning.join_quantum, 8);
     }
 
     #[test]
